@@ -118,8 +118,7 @@ void attach_routing_counters(benchmark::State& state,
 
 void BM_CandidateScanFullRescore(benchmark::State& state) {
   const auto& setup = scan_setup();
-  core::RoutingEngine engine(shared_scenario(), /*threads=*/1,
-                             /*parallel=*/false);
+  core::RoutingEngine engine(shared_scenario(), /*threads=*/1);
   for (auto _ : state) {
     double best = std::numeric_limits<double>::infinity();
     for (const auto& loss : setup.losses) {

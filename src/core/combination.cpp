@@ -23,8 +23,7 @@ Combiner::Combiner(const Scenario& scenario, const Partitioning& partitioning,
       partitioning_(&partitioning),
       config_(config),
       evaluator_(scenario),
-      engine_(scenario, config.threads, config.use_parallel_scoring,
-              config.aggregate_requests, config.use_score_kernel) {
+      engine_(scenario, config.threads, config.use_score_kernel) {
   engine_.set_sink(config_.sink);
   const auto services = static_cast<std::size_t>(scenario.num_microservices());
   const auto nodes = static_cast<std::size_t>(scenario.num_nodes());
@@ -50,20 +49,6 @@ Combiner::Combiner(const Scenario& scenario, const Partitioning& partitioning,
       dependency_adjacent_[a][b] = dependency_adjacent_[b][a] = true;
     }
   }
-}
-
-void Combiner::refresh_route_cache(const Placement& placement) const {
-  engine_.refresh(placement);
-}
-
-double Combiner::cached_objective_without(MsId m, NodeId k,
-                                          const Placement& trial) const {
-  return engine_.objective_without(m, k, trial);
-}
-
-double Combiner::cached_objective_with_change(const Placement& trial,
-                                              MsId changed) const {
-  return engine_.objective_with_change(trial, changed);
 }
 
 NodeId Combiner::best_connection(int user, MsId m,
@@ -128,47 +113,10 @@ double Combiner::estimated_objective(const Placement& placement) const {
   double latency = 0.0;
   for (const auto& cls : scenario_->classes().classes()) {
     const auto& request = scenario_->request(cls.representative);
-    const double d = estimated_completion(request, placement);
-    if (!config_.aggregate_requests) {
-      // Per-user baseline: recompute the estimate for every member. The
-      // volatile store keeps the duplicate work from being folded away; the
-      // representative's value is what enters the total either way, so the
-      // two modes stay bit-identical.
-      for (std::size_t j = 1; j < cls.members.size(); ++j) {
-        volatile double echo = estimated_completion(request, placement);
-        static_cast<void>(echo);
-      }
-    }
-    latency += cls.weight * d;
+    latency += cls.weight * estimated_completion(request, placement);
   }
   return evaluator_.combine(placement.deployment_cost(scenario_->catalog()),
                             latency);
-}
-
-double Combiner::psi_for_instance(MsId m, NodeId k,
-                                  const Placement& placement) const {
-  // ψ(P'^t): latency of users whose connection for m is the instance at k.
-  const auto& vlinks = scenario_->vlinks();
-  const double compute = scenario_->catalog().microservice(m).compute_gflop /
-                         scenario_->network().node(k).compute_gflops;
-  double total = 0.0;
-  for (int c : scenario_->classes().classes_using(m)) {
-    const auto& cls = scenario_->classes().cls(c);
-    const auto& request = scenario_->request(cls.representative);
-    if (!config_.aggregate_requests) {
-      // Per-user baseline: every member re-runs the connection scan (the
-      // dominant per-user cost of the ψ pass).
-      for (std::size_t j = 1; j < cls.members.size(); ++j) {
-        volatile NodeId echo = best_connection(request.id, m, placement);
-        static_cast<void>(echo);
-      }
-    }
-    if (best_connection(request.id, m, placement) != k) continue;
-    const double data = scenario_->request_inbound_data(request, m);
-    total += cls.weight *
-             (vlinks.transfer_time(data, request.attach_node, k) + compute);
-  }
-  return total;
 }
 
 double Combiner::zeta_for_instance(MsId m, NodeId k,
@@ -176,7 +124,7 @@ double Combiner::zeta_for_instance(MsId m, NodeId k,
                                    const ZetaPrep& prep) const {
   // ζ_{i,k} = ψ(P''^t) − ψ(P'^t) where P'' excludes the instance at k and
   // every affected user reconnects by the connection-update rule. `prep`
-  // carries the classes using m and their connections under `placement`
+  // buckets the classes using m by their connection under `placement`
   // (shared by all of m's instances this pass), so only the classes
   // actually served by (m, k) rescan — under `without` — here.
   const auto& vlinks = scenario_->vlinks();
@@ -196,15 +144,12 @@ double Combiner::zeta_for_instance(MsId m, NodeId k,
       static_cast<std::size_t>(scenario_->num_nodes()), net::kInvalidNode);
   std::vector<bool> have(requeue_of.size(), false);
   const auto& classes = scenario_->classes().classes();
-  const auto eval_served = [&](std::size_t i) -> bool {
-    const auto& cls = classes[static_cast<std::size_t>(prep.class_ids[i])];
+  // Only the classes this instance serves contribute; the prep's served
+  // bucket holds exactly those, ascending, so the accumulation order
+  // matches the full filtered scan bit for bit.
+  for (const int c : prep.served[static_cast<std::size_t>(k)]) {
+    const auto& cls = classes[static_cast<std::size_t>(c)];
     const auto& request = scenario_->request(cls.representative);
-    if (!config_.aggregate_requests) {
-      for (std::size_t j = 1; j < cls.members.size(); ++j) {
-        volatile NodeId echo = best_connection(request.id, m, without);
-        static_cast<void>(echo);
-      }
-    }
     const double data = scenario_->request_inbound_data(request, m);
     before += cls.weight * (vlinks.transfer_time(data, request.attach_node, k) +
                             compute_k);
@@ -214,33 +159,11 @@ double Combiner::zeta_for_instance(MsId m, NodeId k,
       have[attach] = true;
     }
     const NodeId q = requeue_of[attach];
-    if (q == net::kInvalidNode) return false;  // would orphan the user
+    if (q == net::kInvalidNode) return kInf;  // would orphan the user
     after += cls.weight *
              (vlinks.transfer_time(data, request.attach_node, q) +
               scenario_->catalog().microservice(m).compute_gflop /
                   network.node(q).compute_gflops);
-    return true;
-  };
-  if (config_.aggregate_requests) {
-    // Only the classes this instance serves contribute; the prep's served
-    // buckets hold exactly those, ascending, so the accumulation order
-    // matches the full filtered scan bit for bit.
-    for (const int i : prep.served[static_cast<std::size_t>(k)]) {
-      if (!eval_served(static_cast<std::size_t>(i))) return kInf;
-    }
-    return after - before;
-  }
-  for (std::size_t i = 0; i < prep.class_ids.size(); ++i) {
-    const auto& cls = classes[static_cast<std::size_t>(prep.class_ids[i])];
-    const auto& request = scenario_->request(cls.representative);
-    // Per-user baseline: every member re-runs the connection scan (the
-    // dominant per-user cost of the ζ sweep).
-    for (std::size_t j = 1; j < cls.members.size(); ++j) {
-      volatile NodeId echo = best_connection(request.id, m, placement);
-      static_cast<void>(echo);
-    }
-    if (prep.connection[i] != k) continue;
-    if (!eval_served(i)) return kInf;
   }
   return after - before;
 }
@@ -263,8 +186,6 @@ std::vector<LatencyLoss> Combiner::latency_losses(
     // m (ascending), replacing a full uses(m) sweep per microservice.
     ZetaPrep prep;
     const auto& users = scenario_->classes().classes_using(m);
-    prep.class_ids.reserve(users.size());
-    prep.connection.reserve(users.size());
     prep.served.resize(static_cast<std::size_t>(scenario_->num_nodes()));
     std::vector<NodeId> conn_of(
         static_cast<std::size_t>(scenario_->num_nodes()), net::kInvalidNode);
@@ -279,11 +200,8 @@ std::vector<LatencyLoss> Combiner::latency_losses(
       }
       const NodeId conn = conn_of[attach];
       if (conn != net::kInvalidNode) {
-        prep.served[static_cast<std::size_t>(conn)].push_back(
-            static_cast<int>(prep.class_ids.size()));
+        prep.served[static_cast<std::size_t>(conn)].push_back(c);
       }
-      prep.class_ids.push_back(c);
-      prep.connection.push_back(conn);
     }
     preps.push_back(std::move(prep));
     for (NodeId k = 0; k < scenario_->num_nodes(); ++k) {
@@ -321,7 +239,7 @@ std::vector<LatencyLoss> Combiner::latency_losses(
 
 bool Combiner::violates_deadline(const Placement& placement) const {
   // Members of a request class share chain, demand, and deadline, so the
-  // representative's verdict covers the whole class in both modes.
+  // representative's verdict covers the whole class.
   if (use_exact_eval()) {
     // Route the verdict through the engine so it shares the kernel scoring
     // hot path (and its scratch slots — the old local RouteScratch here
@@ -330,27 +248,18 @@ bool Combiner::violates_deadline(const Placement& placement) const {
   }
   for (const auto& cls : scenario_->classes().classes()) {
     const auto& request = scenario_->request(cls.representative);
-    const double d = estimated_completion(request, placement);
-    if (!config_.aggregate_requests) {
-      for (std::size_t j = 1; j < cls.members.size(); ++j) {
-        volatile double echo = estimated_completion(request, placement);
-        static_cast<void>(echo);
-      }
+    if (estimated_completion(request, placement) > request.deadline + 1e-9) {
+      return true;
     }
-    if (d > request.deadline + 1e-9) return true;
   }
   return false;
 }
 
 bool Combiner::use_exact_eval() const {
-  // Exact per-move routing costs ~C·V³·len̄ DP operations per evaluation
-  // (the per-user path additionally pays its O(U) member echo inside the
-  // same regime); keep it while that stays comfortably inside interactive
-  // budgets. The regime keys on the class count in BOTH modes so aggregated
-  // and per-user runs always take the same branch — a prerequisite for
-  // bit-identical objectives (DESIGN.md §4g). With aggregation the DP count
-  // scales with classes, not users — which is how million-user workloads at
-  // a few thousand classes keep exact scoring.
+  // Exact per-move routing costs ~C·V³·len̄ DP operations per evaluation;
+  // keep it while that stays comfortably inside interactive budgets. The DP
+  // count scales with classes, not users — which is how million-user
+  // workloads at a few thousand classes keep exact scoring.
   const double classes =
       static_cast<double>(scenario_->classes().num_classes());
   const double nodes = static_cast<double>(scenario_->num_nodes());

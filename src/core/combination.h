@@ -39,25 +39,12 @@ struct CombinationConfig {
   double parallel_slack = 1.6;
   /// Disturbance factor Θ: tolerated objective rise per serial move.
   double theta = 25.0;
-  /// Serial-stage shortlist: the ζ-ascending prefix whose members are
-  /// scored with the real objective before committing a move. Width 1 is
-  /// the paper's literal arg-min-ζ rule; a small shortlist recovers most of
-  /// GC-OG's move quality at a fraction of its scan cost.
-  int shortlist = 4;
-  /// Worker threads for the parallel stage (0 = hardware concurrency).
+  /// Worker threads for the parallel stage and candidate scoring
+  /// (0 = hardware concurrency). 1 scores serially; scores are written by
+  /// candidate index and each is a pure function of the route cache, so the
+  /// thread count changes wall time, never results (test_routing_engine
+  /// enforces it).
   int threads = 0;
-  /// Fan candidate scoring out over the routing engine's pool. Scores are
-  /// written by candidate index and each score is a pure function of the
-  /// route cache, so disabling this changes wall time, never results (the
-  /// determinism test in test_routing_engine enforces it).
-  bool use_parallel_scoring = true;
-  /// Request-class aggregation (DESIGN.md §4g): score one representative
-  /// per class and fold weight · value into every total, turning O(users)
-  /// inner loops into O(classes). false routes/estimates every member
-  /// individually — the measured per-user baseline of bench_scale. Both
-  /// modes totalise class-major, so objectives are bit-identical (enforced
-  /// by the differential harness's aggregation lane).
-  bool aggregate_requests = true;
   /// Score classes through the SoA kernel (DESIGN.md §4h): a lane-batched
   /// chain DP over contiguous buffers that evaluates all first-layer
   /// conditionings at once. false keeps the legacy per-conditioning
@@ -142,23 +129,6 @@ class Combiner {
   /// connection-rule estimate. Exposed for tests.
   double serial_objective(const Placement& placement) const;
 
-  /// Exact incremental scoring: refreshes the routing engine's per-user
-  /// latency cache for `placement`; subsequent scored-move calls reroute
-  /// only the users whose chains contain the changed microservice, which
-  /// makes exhaustive exact candidate scans ~|M| times cheaper than full
-  /// re-evaluation. Thin forwarders to the engine, kept for tests and the
-  /// online solver.
-  void refresh_route_cache(const Placement& placement) const;
-  /// Exact objective of `trial`, assuming it differs from the cached
-  /// placement only in instances of microservice `changed`.
-  double cached_objective_with_change(const Placement& trial,
-                                      MsId changed) const;
-  /// Exact objective of `trial`, assuming it equals the cached placement
-  /// minus the single instance (m, k): reroutes only users whose cached
-  /// route actually used that instance (at any chain position).
-  double cached_objective_without(MsId m, NodeId k,
-                                  const Placement& trial) const;
-
   /// The incremental routing engine backing all exact scoring. Exposed so
   /// SoCL::solve can reuse its cache/counters for the final routing pass.
   RoutingEngine& engine() const { return engine_; }
@@ -180,23 +150,17 @@ class Combiner {
   void descend_to_budget(Placement& placement) const;
 
  private:
-
-  double psi_for_instance(MsId m, NodeId k, const Placement& placement) const;
   /// Per-microservice work shared by every removable instance of m in one
-  /// latency_losses pass: the classes whose chains use m (ascending class
-  /// id) and each one's connection under the scored placement. Hoisting
-  /// this out of zeta_for_instance turns Algorithm 4's ζ sweep from
+  /// latency_losses pass: the classes whose chains use m, bucketed by their
+  /// connection under the scored placement. Hoisting this out of
+  /// zeta_for_instance turns Algorithm 4's ζ sweep from
   /// O(instances · classes) connection scans into O(classes) per
   /// microservice, with bit-identical sums (same contributing classes,
   /// same order).
   struct ZetaPrep {
-    std::vector<int> class_ids;
-    std::vector<NodeId> connection;
-    /// served[k]: indices into class_ids whose connection is node k
-    /// (ascending, so per-instance sums keep the class-major order). Lets
-    /// the aggregated ζ evaluation touch only the classes the instance
-    /// actually serves; the per-user baseline still walks every class using
-    /// m, whose member echo scans are its honest dominant cost.
+    /// served[k]: ids of the classes whose connection is node k (ascending,
+    /// so per-instance sums keep the class-major order). Lets the ζ
+    /// evaluation touch only the classes the instance actually serves.
     std::vector<std::vector<int>> served;
   };
   double zeta_for_instance(MsId m, NodeId k, const Placement& placement,

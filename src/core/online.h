@@ -51,8 +51,10 @@ class OnlineSoCL {
  public:
   explicit OnlineSoCL(OnlineParams params = {}) : params_(std::move(params)) {}
 
-  /// Provisioning decision for the current slot's scenario. The scenario's
-  /// network and catalog must stay fixed across calls; requests may change
+  /// Provisioning decision for the current slot's scenario. Node ids and
+  /// the catalog must stay fixed across calls; links and capacities may
+  /// degrade (Scenario::set_network — the chaos lane and bench_resilience
+  /// warm-start across node and link failures), and requests may change
   /// arbitrarily (mobility, fresh chains).
   Solution step(const Scenario& scenario, OnlineStepStats* stats = nullptr);
 

@@ -26,13 +26,11 @@ void RoutingCounters::merge(const RoutingCounters& other) {
 }
 
 RoutingEngine::RoutingEngine(const Scenario& scenario, int threads,
-                             bool parallel, bool aggregate, bool use_kernel)
+                             bool use_kernel)
     : scenario_(&scenario),
       router_(scenario),
       kernel_(use_kernel ? std::make_unique<ScoreKernel>(scenario) : nullptr),
-      threads_(threads),
-      parallel_(parallel),
-      aggregate_(aggregate) {
+      threads_(threads) {
   rebuild_class_index();
 }
 
@@ -99,19 +97,6 @@ bool RoutingEngine::class_route(int c, const Placement& placement,
   return router_.route_into(request, placement, ctx.scratch, out);
 }
 
-void RoutingEngine::echo_members(int c, const Placement& placement,
-                                 ScoreContext& ctx) const {
-  const auto& cls = scenario_->classes().cls(c);
-  for (std::size_t j = 1; j < cls.members.size(); ++j) {
-    // The store is volatile so the duplicate DP cannot be folded away; the
-    // representative's value is what enters every total, keeping per-user
-    // and aggregated totals bit-identical while the cost stays O(users).
-    volatile double echo = class_cost(c, placement, ctx);
-    static_cast<void>(echo);
-    ++ctx.counters.routes_computed;
-  }
-}
-
 util::ThreadPool& RoutingEngine::pool() {
   if (!pool_) {
     pool_ = std::make_unique<util::ThreadPool>(
@@ -147,8 +132,7 @@ void RoutingEngine::refresh(const Placement& placement) {
   cached_latency_.assign(n, kInf);
   cached_routes_.resize(n);
 
-  const bool fan_out =
-      parallel_ && n >= 64 && (threads_ == 0 || threads_ > 1);
+  const bool fan_out = n >= 64 && (threads_ == 0 || threads_ > 1);
   // One bind generation for the whole refresh: every worker binds its arena
   // to `placement` once and fast-paths on every later class it routes.
   const std::uint64_t gen = next_bind_gen();
@@ -160,7 +144,6 @@ void RoutingEngine::refresh(const Placement& placement) {
     for (std::size_t c = 0; c < n; ++c) {
       const bool ok = class_route(static_cast<int>(c), placement, ctx, route);
       ++ctx.counters.routes_computed;
-      if (!aggregate_) echo_members(static_cast<int>(c), placement, ctx);
       cached_latency_[c] = ok ? route.total() : kInf;
       auto& cached = cached_routes_[c];
       if (ok) {
@@ -181,7 +164,6 @@ void RoutingEngine::refresh(const Placement& placement) {
       RouteResult& route = worker_routes[worker];
       const bool ok = class_route(static_cast<int>(i), placement, ctx, route);
       ++ctx.counters.routes_computed;
-      if (!aggregate_) echo_members(static_cast<int>(i), placement, ctx);
       cached_latency_[i] = ok ? route.total() : kInf;
       auto& cached = cached_routes_[i];
       if (ok) {
@@ -220,7 +202,6 @@ double RoutingEngine::objective_without(MsId m, NodeId k,
     const auto& cls = scenario_->classes().cls(c);
     const auto& request = scenario_->request(cls.representative);
     const auto& route = cached_routes_[static_cast<std::size_t>(c)];
-    const std::int64_t fold = aggregate_ ? 1 : cls.size();
     bool affected = route.empty();
     if (!affected) {
       // Scan every chain position: a chain may visit m more than once, and
@@ -233,13 +214,12 @@ double RoutingEngine::objective_without(MsId m, NodeId k,
       }
     }
     if (!affected) {
-      ctx.counters.reroutes_avoided += fold;
-      ctx.counters.cache_hits += fold;
+      ++ctx.counters.reroutes_avoided;
+      ++ctx.counters.cache_hits;
       continue;
     }
     const double rerouted = class_cost(c, trial, ctx);
     ++ctx.counters.routes_computed;
-    if (!aggregate_) echo_members(c, trial, ctx);
     if (rerouted == kInf) return kInf;
     latency +=
         cls.weight * (rerouted - cached_latency_[static_cast<std::size_t>(c)]);
@@ -264,7 +244,6 @@ double RoutingEngine::objective_with_change(const Placement& trial,
     const auto& cls = scenario_->classes().cls(c);
     const double rerouted = class_cost(c, trial, ctx);
     ++ctx.counters.routes_computed;
-    if (!aggregate_) echo_members(c, trial, ctx);
     if (rerouted == kInf) return kInf;
     latency +=
         cls.weight * (rerouted - cached_latency_[static_cast<std::size_t>(c)]);
@@ -287,7 +266,6 @@ double RoutingEngine::full_objective(const Placement& placement,
   for (std::size_t c = 0; c < classes.size(); ++c) {
     const double d = class_cost(static_cast<int>(c), placement, ctx);
     ++ctx.counters.routes_computed;
-    if (!aggregate_) echo_members(static_cast<int>(c), placement, ctx);
     if (d == kInf) return kInf;
     latency += classes[c].weight * d;
   }
@@ -310,7 +288,6 @@ bool RoutingEngine::any_deadline_violation(const Placement& placement) {
         scenario_->request(classes[c].representative);
     const double d = class_cost(static_cast<int>(c), placement, ctx);
     ++ctx.counters.routes_computed;
-    if (!aggregate_) echo_members(static_cast<int>(c), placement, ctx);
     // route_cost is +inf for unroutable classes, which trips the deadline.
     if (d > request.deadline + 1e-9) return true;
   }
@@ -330,8 +307,7 @@ std::vector<double> RoutingEngine::score_candidates(
   // Small batches are not worth the dispatch; the serial path leases a
   // checkout slot like the convenience entry points, so it never aliases a
   // fan-out worker's scratch even when called concurrently.
-  const bool fan_out = parallel_ && n >= 8 &&
-                       (threads_ == 0 || threads_ > 1);
+  const bool fan_out = n >= 8 && (threads_ == 0 || threads_ > 1);
   if (!fan_out) {
     {
       SlotLease lease(*this);
@@ -366,19 +342,6 @@ std::optional<Assignment> RoutingEngine::route_all(
   ScoreContext ctx = lease.context();
   if (kernel_) kernel_->bind(ctx.arena, placement, next_bind_gen());
   RouteResult routed;
-  if (!aggregate_) {
-    // Per-user baseline: one DP per member. Class members are identical
-    // requests, so routing each member through its class representative
-    // produces exactly the Assignment the expansion below would.
-    for (const auto& request : scenario_->requests()) {
-      const int c = scenario_->classes().class_of(request.id);
-      const bool ok = class_route(c, placement, ctx, routed);
-      ++ctx.counters.routes_computed;
-      if (!ok) return std::nullopt;
-      assignment.set_user_route(request.id, routed.nodes);
-    }
-    return assignment;
-  }
   const auto& classes = scenario_->classes().classes();
   for (std::size_t c = 0; c < classes.size(); ++c) {
     const bool ok = class_route(static_cast<int>(c), placement, ctx, routed);

@@ -64,7 +64,8 @@ MultiMetroTopology make_multi_metro(const MultiMetroConfig& config,
     out.gateways.push_back(gateway);
   }
 
-  // Backhaul class: ring and/or full mesh over the gateways.
+  // Backhaul class: the metro fiber ring over the gateways (metro i to
+  // metro i+1, wrapping; two metros share a single link).
   const auto add_backhaul = [&](int ma, int mb) {
     const NodeId a = out.gateways[static_cast<std::size_t>(ma)];
     const NodeId b = out.gateways[static_cast<std::size_t>(mb)];
@@ -73,18 +74,7 @@ MultiMetroTopology make_multi_metro(const MultiMetroConfig& config,
         out.network.add_link_with_rate(a, b, config.backhaul.rate_gbps));
   };
   if (metros > 1) {
-    if (config.backhaul.ring) {
-      for (int m = 0; m < metros; ++m) add_backhaul(m, (m + 1) % metros);
-    }
-    if (config.backhaul.full_mesh) {
-      for (int ma = 0; ma < metros; ++ma) {
-        for (int mb = ma + 1; mb < metros; ++mb) add_backhaul(ma, mb);
-      }
-    }
-    if (!config.backhaul.ring && !config.backhaul.full_mesh) {
-      throw std::invalid_argument(
-          "make_multi_metro: metros > 1 needs a backhaul topology");
-    }
+    for (int m = 0; m < metros; ++m) add_backhaul(m, (m + 1) % metros);
   }
   return out;
 }

@@ -22,16 +22,13 @@
 
 namespace socl::net {
 
-/// The backhaul link class: how metros are stitched together.
+/// The backhaul link class: metros are stitched into a fiber ring (metro i
+/// to metro i+1, wrapping).
 struct BackhaulConfig {
   /// Explicit long-haul rate in GB/s (no Shannon model — provisioned fiber).
   /// Deliberately below the intra-metro band so cross-metro transfers are
   /// visibly expensive in any latency decomposition.
   double rate_gbps = 4.0;
-  /// Connect metro i to metro i+1 (and wrap) — the metro fiber ring.
-  bool ring = true;
-  /// Additionally connect every metro pair directly (full WAN mesh).
-  bool full_mesh = false;
 };
 
 struct MultiMetroConfig {

@@ -62,7 +62,6 @@ ChaosSchedule::ChaosSchedule(const net::EdgeNetwork& healthy,
   // intra-metro links count — a backhaul cut isolates a metro without
   // tripping the guard.
   const auto guard_ok = [&]() {
-    if (!config.protect_connectivity) return true;
     const net::FailureMasks masks = masks_of(state);
     if (metro_of == nullptr) {
       return net::survivors_connected(healthy, masks);

@@ -44,9 +44,6 @@ struct ChaosConfig {
   int flash_crowd_slots = 2;
   /// Cap on simultaneously-failed nodes as a fraction of the node count.
   double max_failed_node_fraction = 0.25;
-  /// Reject candidate failures that would disconnect the survivors
-  /// (globally, or within each metro when a metro map is given).
-  bool protect_connectivity = true;
   /// First slot at which anything may fail; the day opens healthy so the
   /// loop builds its baseline plan on the full substrate.
   int first_slot = 2;

@@ -294,7 +294,6 @@ void ServingLoop::rebuild_sharded() {
   shard::ShardedParams sp = config_.shard;
   sp.solver = config_.online.socl;
   sp.online = config_.online;
-  sp.warm_serving = true;
   sp.sink = config_.sink;
   sharded_ = std::make_unique<shard::ShardedSoCL>(
       scenario_, shard::plan_from_metros(metro_of_, config_.metros), sp);
@@ -676,7 +675,7 @@ SlotReport ServingLoop::step() {
     const serverless::ServerlessRuntime runtime(scenario_, runtime_config);
 
     core::Placement carried = previous_placement_;
-    if (have_previous_ && config_.prewarm_ahead) {
+    if (have_previous_) {
       const auto nodes = static_cast<std::size_t>(scenario_.num_nodes());
       for (const auto& [m, k] : delta.added) {
         const std::size_t idx =

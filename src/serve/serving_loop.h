@@ -95,8 +95,8 @@ struct ServingConfig {
   /// windows. Requires metros >= 1. With one metro the day is byte-identical
   /// to the unsharded loop (test_serving pins it via CSV diff).
   bool sharded = false;
-  /// Coordinator knobs for sharded mode. `solver`, `online`, warm_serving,
-  /// and sink are overridden from this config (single source of truth).
+  /// Coordinator knobs for sharded mode. `solver`, `online` and `sink` are
+  /// overridden from this config (single source of truth).
   shard::ShardedParams shard;
   /// Aggregated users actually served (replicate_requests over the template
   /// workload; 0 keeps the template count). Request-class aggregation keeps
@@ -126,9 +126,6 @@ struct ServingConfig {
   serverless::ArrivalConfig arrivals;
   /// Scales the day profile's deviation from flat (0 = homogeneous slots).
   double diurnal_amplitude = 1.0;
-  /// Pre-warm instances of the next slot's placement from the Alg. 2 quota
-  /// snapshot, so predicted rollouts open warm instead of booting cold.
-  bool prewarm_ahead = true;
   /// Forced-full-resolve lane: every slot, re-route the whole workload from
   /// scratch, require bit-equality with the incremental assignment, and run
   /// the independent constraint validator. Results land in

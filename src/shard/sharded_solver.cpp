@@ -341,7 +341,6 @@ ShardedSolution ShardedSoCL::solve() {
 }
 
 void ShardedSoCL::reseed_rungs() {
-  if (!params_.warm_serving) return;
   if (online_rungs_.empty()) {
     core::OnlineParams rung = params_.online;
     rung.socl = params_.solver;
@@ -374,20 +373,10 @@ void ShardedSoCL::resolve_shard(int s) {
   }
   shard.scenario().set_constants(constants);
   util::WallTimer timer;
-  if (params_.warm_serving && !online_rungs_.empty()) {
-    // Warm rung: repair + polish of the shard's carried placement at the
-    // frozen price — the serving ladder's per-shard incremental rung.
-    current_[static_cast<std::size_t>(s)] =
-        online_rungs_[static_cast<std::size_t>(s)].step(shard.scenario());
-  } else {
-    core::SoCLParams shard_params = params_.solver;
-    shard_params.sink = nullptr;
-    if (params_.shard_threads > 0) {
-      shard_params.combination.threads = params_.shard_threads;
-    }
-    current_[static_cast<std::size_t>(s)] =
-        core::SoCL(shard_params).solve(shard.scenario());
-  }
+  // Warm rung: repair + polish of the shard's carried placement at the
+  // frozen price — the serving ladder's per-shard incremental rung.
+  current_[static_cast<std::size_t>(s)] =
+      online_rungs_[static_cast<std::size_t>(s)].step(shard.scenario());
   current_solve_s_[static_cast<std::size_t>(s)] = timer.elapsed_seconds();
 }
 

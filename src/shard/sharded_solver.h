@@ -134,17 +134,15 @@ struct ShardedParams {
   /// spend drifts from the priced-in spend by more than this fraction of
   /// the budget (or breaches the budget outright).
   double reprice_threshold = 0.05;
-  /// Serving mode: per-shard incremental rungs run through a warm-started
-  /// OnlineSoCL per shard (repair + polish of the shard's carried placement
-  /// at the frozen price) instead of cold SoCL solves. Full coordinated
-  /// solves stay cold; each one re-seeds the rungs with the accepted
-  /// per-shard placements. With one shard this makes the serving ladder
-  /// bit-identical to driving OnlineSoCL directly (the serve-loop identity
-  /// lane of test_serving).
-  bool warm_serving = false;
-  /// Rung configuration under warm_serving (staleness threshold, periodic
-  /// full-resolve cadence). Its `socl` member is ignored: `solver` above is
-  /// the single source of per-shard solver configuration.
+  /// Configuration of the per-shard incremental rungs (staleness threshold,
+  /// periodic full-resolve cadence). step() re-solves a moved shard through
+  /// a warm-started OnlineSoCL (repair + polish of the shard's carried
+  /// placement at the frozen price); full coordinated solves stay cold and
+  /// each one re-seeds the rungs with the accepted per-shard placements.
+  /// With one shard this makes the serving ladder bit-identical to driving
+  /// OnlineSoCL directly (the serve-loop identity lane of test_serving).
+  /// Its `socl` member is ignored: `solver` above is the single source of
+  /// per-shard solver configuration.
   core::OnlineParams online;
   /// `socl.shard.*` metrics (docs/METRICS.md); nullptr disables.
   obs::ObsSink* sink = nullptr;
@@ -200,9 +198,8 @@ class ShardedSoCL {
     ShardedSolution solution;
   };
   /// `force_all` re-runs every shard's rung even when its workload did not
-  /// move — the serving loop's periodic-replan schedule, which under
-  /// warm_serving gives each shard its OnlineSoCL staleness check / polish
-  /// on the legacy cadence.
+  /// move — the serving loop's periodic-replan schedule, which gives each
+  /// shard its OnlineSoCL staleness check / polish on the legacy cadence.
   StepReport step(const std::vector<workload::UserRequest>& requests,
                   bool force_all = false);
 
@@ -219,12 +216,11 @@ class ShardedSoCL {
                         const std::vector<double>* quotas,
                         std::vector<core::Solution>& out,
                         std::vector<double>& solve_s);
-  /// Re-solves one shard under the frozen price/quotas: a cold SoCL solve,
-  /// or the shard's warm OnlineSoCL rung under warm_serving.
+  /// Re-solves one shard under the frozen price/quotas through its warm
+  /// OnlineSoCL rung.
   void resolve_shard(int s);
   /// Builds (once) and re-seeds the per-shard OnlineSoCL rungs from the
-  /// accepted placements after a full coordinated solve. No-op unless
-  /// warm_serving.
+  /// accepted placements after a full coordinated solve.
   void reseed_rungs();
   /// Recombines current_ into a global solution and evaluates it.
   ShardedSolution recombine() const;
@@ -236,7 +232,7 @@ class ShardedSoCL {
   /// Subgradient schedule of the pre-bracket ascent; reset() at the top of
   /// every solve() so mid-day re-prices restart the step size.
   DualState dual_;
-  /// Warm serving rungs, one per shard (empty unless warm_serving).
+  /// Warm serving rungs, one per shard (built by the first solve()).
   std::vector<core::OnlineSoCL> online_rungs_;
 
   /// Serving state: the accepted per-shard solutions and the frozen

@@ -215,11 +215,11 @@ CaseResult run_differential_case(std::uint64_t seed,
   }
 
   // --- Aggregation lane (DESIGN.md §4g): replicate the workload so every
-  // request class has several members, then solve once with request-class
-  // aggregation and once on the per-user path. The two modes totalise
-  // class-major and route identical representatives, so placement,
-  // objective, assignment, and the validator's violation set must all be
-  // IDENTICAL — bit-for-bit, not within tolerance.
+  // request class has several members, solve it once (one representative
+  // per class), then route every member on its own through ChainRouter
+  // under the solved placement. The solver's expanded route must be that
+  // member's own optimum bit for bit, with the representative's completion
+  // time, and the validator must agree with the aggregated Evaluation.
   {
     util::Rng lane_rng(seed ^ 0xa66c1a55e5ULL);
     const int replication = static_cast<int>(lane_rng.uniform_int(2, 4));
@@ -231,55 +231,49 @@ CaseResult run_differential_case(std::uint64_t seed,
     if (agg_scenario.classes().num_classes() > scenario.num_users()) {
       fail("replicated workload produced more classes than template users");
     }
-    core::SoCLParams per_user_params;
-    per_user_params.combination.aggregate_requests = false;
     const core::Solution by_class = core::SoCL().solve(agg_scenario);
-    const core::Solution by_user =
-        core::SoCL(per_user_params).solve(agg_scenario);
-    if (!(by_class.placement == by_user.placement)) {
-      fail("aggregated and per-user solves diverged in placement");
-    }
-    const core::Evaluation& ec = by_class.evaluation;
-    const core::Evaluation& eu = by_user.evaluation;
-    if (ec.objective != eu.objective ||
-        ec.total_latency != eu.total_latency ||
-        ec.deployment_cost != eu.deployment_cost ||
-        ec.deadline_violations != eu.deadline_violations ||
-        ec.routable != eu.routable) {
-      fail("aggregated objective " + std::to_string(ec.objective) +
-           " not bit-identical to per-user " + std::to_string(eu.objective));
-    }
-    if (by_class.assignment.has_value() != by_user.assignment.has_value()) {
-      fail("aggregated and per-user solves diverged in routability");
-    }
-    if (by_class.assignment.has_value() && by_user.assignment.has_value()) {
+    const core::ChainRouter router(agg_scenario);
+    const auto& classes = agg_scenario.classes();
+    if (by_class.assignment.has_value()) {
+      const core::Assignment& assignment = *by_class.assignment;
       for (int h = 0; h < agg_scenario.num_users(); ++h) {
-        if (!std::ranges::equal(by_class.assignment->user_route(h),
-                                by_user.assignment->user_route(h))) {
-          fail("assignment for user " + std::to_string(h) +
-               " differs between aggregated and per-user solves");
+        const auto& request = agg_scenario.request(h);
+        const auto own = router.route(request, by_class.placement);
+        if (!own.has_value() ||
+            !std::ranges::equal(own->nodes, assignment.user_route(h))) {
+          fail("aggregated route of user " + std::to_string(h) +
+               " differs from its own ChainRouter route");
+          break;
+        }
+        const int rep = classes.cls(classes.class_of(h)).representative;
+        const double d_rep = router.completion_time(
+            agg_scenario.request(rep), assignment.user_route(rep));
+        if (router.completion_time(request, own->nodes) != d_rep) {
+          fail("completion time of user " + std::to_string(h) +
+               " differs from its class representative's");
           break;
         }
       }
       const SolutionValidator agg_validator(agg_scenario);
-      const Report rc =
-          agg_validator.validate(by_class.placement, *by_class.assignment);
-      const Report ru =
-          agg_validator.validate(by_user.placement, *by_user.assignment);
-      bool same = rc.violations.size() == ru.violations.size() &&
-                  rc.total_latency == ru.total_latency &&
-                  rc.objective == ru.objective;
-      for (std::size_t i = 0; same && i < rc.violations.size(); ++i) {
-        const Violation& a = rc.violations[i];
-        const Violation& b = ru.violations[i];
-        same = a.constraint == b.constraint && a.user == b.user &&
-               a.node == b.node && a.microservice == b.microservice &&
-               a.position == b.position && a.lhs == b.lhs && a.rhs == b.rhs;
+      const Report rc = agg_validator.validate(by_class.placement, assignment);
+      const core::Evaluation& ec = by_class.evaluation;
+      if (structural_violations(rc) > 0 ||
+          rc.count(Constraint::kDeadline) != ec.deadline_violations ||
+          !approx_eq(rc.total_latency, ec.total_latency, tol)) {
+        fail("validator disagrees with the aggregated solve: " +
+             rc.summary());
       }
-      if (!same) {
-        fail("validator reports differ between aggregated and per-user "
-             "solves:\n  aggregated: " + rc.summary() +
-             "\n  per-user: " + ru.summary());
+    } else {
+      bool some_unroutable = false;
+      for (int h = 0; h < agg_scenario.num_users() && !some_unroutable;
+           ++h) {
+        some_unroutable =
+            !router.route(agg_scenario.request(h), by_class.placement)
+                 .has_value();
+      }
+      if (!some_unroutable) {
+        fail("aggregated solve is unroutable but every member routes on "
+             "its own");
       }
     }
   }
@@ -500,8 +494,8 @@ CaseResult run_kernel_differential_case(std::uint64_t seed,
   for (workload::MsId m = 0; m < scenario.num_microservices(); ++m) {
     for (net::NodeId k = 0; k < scenario.num_nodes(); ++k) dense.deploy(m, k);
   }
-  core::RoutingEngine kernel_engine(scenario, 1, false, true, true);
-  core::RoutingEngine legacy_engine(scenario, 1, false, true, false);
+  core::RoutingEngine kernel_engine(scenario, 1, /*use_kernel=*/true);
+  core::RoutingEngine legacy_engine(scenario, 1, /*use_kernel=*/false);
   const auto compare_engines = [&](const char* when) {
     kernel_engine.refresh(dense);
     legacy_engine.refresh(dense);

@@ -9,9 +9,10 @@
 //   * validator verdicts agree with Evaluation flags bit-for-bit
 //     (deadline-violation count, budget, storage, routability) and the
 //     independently recomputed Σ D_h / objective match to tolerance;
-//   * a replicated workload solved with and without request-class
-//     aggregation (DESIGN.md §4g) yields identical placements, objectives,
-//     assignments, and validator violation sets — bit-for-bit;
+//   * a replicated workload solved with request-class aggregation
+//     (DESIGN.md §4g) assigns every member exactly the route ChainRouter
+//     computes for that member alone, with the representative's completion
+//     time — bit-for-bit — and the validator agrees with its Evaluation;
 //   * heuristic objective >= exact optimum (the exact solver is a lower
 //     bound over the same budget-feasible space);
 //   * exact-infeasible implies the heuristic cannot produce a validated

@@ -12,8 +12,8 @@
 // Grouping is by exact field equality (a 64-bit FNV-1a fingerprint is only a
 // bucketing accelerator — colliding fingerprints never merge distinct
 // requests), so the per-class representative routes to bit-identical results
-// with every member, which is what lets the aggregated pipeline reproduce
-// the per-user pipeline exactly (test_differential's aggregation lane).
+// with every member (test_differential's aggregation lane routes every
+// member on its own and checks exactly that).
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,7 @@
 // Equivalence tests for the exact incremental evaluator: every cached
-// shortcut (cached_objective_with_change / cached_objective_without) must
-// agree with a from-scratch serial_objective evaluation to numerical
-// precision, for arbitrary single-service moves.
+// shortcut of the combiner's routing engine (objective_with_change /
+// objective_without) must agree with a from-scratch serial_objective
+// evaluation to numerical precision, for arbitrary single-service moves.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -35,7 +35,7 @@ struct Fixture {
 TEST(Incremental, RemoveMatchesFullEvaluation) {
   Fixture fx(1);
   const Placement& base = fx.pre.placement;
-  fx.combiner.refresh_route_cache(base);
+  fx.combiner.engine().refresh(base);
   for (MsId m = 0; m < fx.scenario.num_microservices(); ++m) {
     if (base.instance_count(m) <= 1) continue;
     for (NodeId k = 0; k < fx.scenario.num_nodes(); ++k) {
@@ -43,7 +43,7 @@ TEST(Incremental, RemoveMatchesFullEvaluation) {
       Placement trial = base;
       trial.remove(m, k);
       const double incremental =
-          fx.combiner.cached_objective_without(m, k, trial);
+          fx.combiner.engine().objective_without(m, k, trial);
       const double full = fx.combiner.serial_objective(trial);
       EXPECT_NEAR(incremental, full, 1e-6) << "remove ms=" << m << " k=" << k;
     }
@@ -53,7 +53,7 @@ TEST(Incremental, RemoveMatchesFullEvaluation) {
 TEST(Incremental, AddMatchesFullEvaluation) {
   Fixture fx(2);
   const Placement& base = fx.pre.placement;
-  fx.combiner.refresh_route_cache(base);
+  fx.combiner.engine().refresh(base);
   for (MsId m = 0; m < fx.scenario.num_microservices(); ++m) {
     if (fx.scenario.demand_nodes(m).empty()) continue;
     for (NodeId k = 0; k < fx.scenario.num_nodes(); ++k) {
@@ -61,7 +61,7 @@ TEST(Incremental, AddMatchesFullEvaluation) {
       Placement trial = base;
       trial.deploy(m, k);
       const double incremental =
-          fx.combiner.cached_objective_with_change(trial, m);
+          fx.combiner.engine().objective_with_change(trial, m);
       const double full = fx.combiner.serial_objective(trial);
       EXPECT_NEAR(incremental, full, 1e-6) << "add ms=" << m << " k=" << k;
     }
@@ -71,7 +71,7 @@ TEST(Incremental, AddMatchesFullEvaluation) {
 TEST(Incremental, RelocateMatchesFullEvaluation) {
   Fixture fx(3);
   const Placement& base = fx.pre.placement;
-  fx.combiner.refresh_route_cache(base);
+  fx.combiner.engine().refresh(base);
   int checked = 0;
   for (MsId m = 0; m < fx.scenario.num_microservices() && checked < 40; ++m) {
     for (NodeId from = 0; from < fx.scenario.num_nodes(); ++from) {
@@ -82,7 +82,7 @@ TEST(Incremental, RelocateMatchesFullEvaluation) {
         trial.remove(m, from);
         trial.deploy(m, to);
         const double incremental =
-            fx.combiner.cached_objective_with_change(trial, m);
+            fx.combiner.engine().objective_with_change(trial, m);
         const double full = fx.combiner.serial_objective(trial);
         EXPECT_NEAR(incremental, full, 1e-6)
             << "relocate ms=" << m << " " << from << "->" << to;
@@ -96,8 +96,8 @@ TEST(Incremental, RelocateMatchesFullEvaluation) {
 
 TEST(Incremental, CacheSumMatchesDirectObjective) {
   Fixture fx(4);
-  fx.combiner.refresh_route_cache(fx.pre.placement);
-  const double via_cache = fx.combiner.cached_objective_with_change(
+  fx.combiner.engine().refresh(fx.pre.placement);
+  const double via_cache = fx.combiner.engine().objective_with_change(
       fx.pre.placement, /*changed=*/0);  // "change" with identical placement
   const double direct = fx.combiner.serial_objective(fx.pre.placement);
   EXPECT_NEAR(via_cache, direct, 1e-6);
@@ -112,13 +112,13 @@ TEST(Incremental, OrphaningRemovalIsInfinite) {
       base.deploy(m, fx.scenario.demand_nodes(m).front());
     }
   }
-  fx.combiner.refresh_route_cache(base);
+  fx.combiner.engine().refresh(base);
   for (MsId m = 0; m < fx.scenario.num_microservices(); ++m) {
     if (base.instance_count(m) != 1) continue;
     const NodeId k = base.nodes_of(m).front();
     Placement trial = base;
     trial.remove(m, k);
-    EXPECT_TRUE(std::isinf(fx.combiner.cached_objective_without(m, k, trial)))
+    EXPECT_TRUE(std::isinf(fx.combiner.engine().objective_without(m, k, trial)))
         << "ms " << m;
     break;
   }
@@ -153,7 +153,7 @@ TEST(Incremental, RepeatedChainRemovalDetectsLaterOccurrence) {
   base.deploy(0, 0);
   base.deploy(0, 2);
   base.deploy(1, 2);
-  combiner.refresh_route_cache(base);
+  combiner.engine().refresh(base);
 
   const auto& route = combiner.engine().cached_route(0);
   ASSERT_EQ(route.size(), 3u);
@@ -171,7 +171,7 @@ TEST(Incremental, RepeatedChainRemovalDetectsLaterOccurrence) {
                                             scratch);
   ASSERT_GT(rerouted, combiner.engine().cached_latency(0) + 1e-9);
 
-  const double incremental = combiner.cached_objective_without(0, 2, trial);
+  const double incremental = combiner.engine().objective_without(0, 2, trial);
   const double full = combiner.serial_objective(trial);
   EXPECT_NEAR(incremental, full, 1e-9);
 }
@@ -184,7 +184,7 @@ TEST_P(IncrementalSweep, RandomMovesAgree) {
   const auto [seed, nodes] = GetParam();
   Fixture fx(seed, nodes, 25);
   const Placement& base = fx.pre.placement;
-  fx.combiner.refresh_route_cache(base);
+  fx.combiner.engine().refresh(base);
   util::Rng rng(seed * 31);
   for (int trial = 0; trial < 15; ++trial) {
     const auto m = static_cast<MsId>(
@@ -195,11 +195,11 @@ TEST_P(IncrementalSweep, RandomMovesAgree) {
     if (base.deployed(m, k)) {
       if (base.instance_count(m) <= 1) continue;
       altered.remove(m, k);
-      EXPECT_NEAR(fx.combiner.cached_objective_without(m, k, altered),
+      EXPECT_NEAR(fx.combiner.engine().objective_without(m, k, altered),
                   fx.combiner.serial_objective(altered), 1e-6);
     } else if (!fx.scenario.demand_nodes(m).empty()) {
       altered.deploy(m, k);
-      EXPECT_NEAR(fx.combiner.cached_objective_with_change(altered, m),
+      EXPECT_NEAR(fx.combiner.engine().objective_with_change(altered, m),
                   fx.combiner.serial_objective(altered), 1e-6);
     }
   }

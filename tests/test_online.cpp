@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "net/failures.h"
 #include "workload/mobility.h"
 
 namespace socl::core {
@@ -219,6 +220,50 @@ TEST(OnlineSoCLTest, ObjectiveStaysNearFreshSolve) {
               1.5 * fresh_solution.evaluation.objective)
         << "slot " << slot;
   }
+}
+
+// The step() contract: node ids and the catalog stay fixed, while links and
+// capacities may degrade between calls (the chaos lane warm-starts across
+// Scenario::set_network). A failed node is a husk with zero storage, so the
+// warm repair must migrate its instances away and stay storage-feasible.
+TEST(OnlineSoCLTest, WarmStepAfterNodeFailureVacatesTheFailedNode) {
+  auto scenario = make_scenario(base_config(8, 40), 13);
+  OnlineSoCL online;
+  const Solution healthy = online.step(scenario);
+
+  // Fail the busiest node whose loss keeps the survivors connected.
+  net::NodeId failed = net::kInvalidNode;
+  int busiest = 0;
+  for (NodeId k = 0; k < scenario.num_nodes(); ++k) {
+    int hosted = 0;
+    for (MsId m = 0; m < scenario.num_microservices(); ++m) {
+      if (healthy.placement.deployed(m, k)) ++hosted;
+    }
+    const net::FailurePlan candidate{{}, {k}};
+    if (hosted > busiest &&
+        net::survivors_connected(
+            scenario.network(),
+            net::failure_masks(scenario.network(), candidate))) {
+      busiest = hosted;
+      failed = k;
+    }
+  }
+  ASSERT_NE(failed, net::kInvalidNode) << "no instance on a removable node";
+
+  const net::FailurePlan plan{{}, {failed}};
+  net::EdgeNetwork degraded = net::apply_failures(scenario.network(), plan);
+  auto requests = scenario.requests();
+  workload::reattach_users(degraded, plan.failed_nodes, requests);
+  scenario.set_network(std::move(degraded));
+  scenario.set_requests(std::move(requests));
+
+  OnlineStepStats stats;
+  const Solution after = online.step(scenario, &stats);
+  EXPECT_TRUE(stats.warm_start_used);
+  for (MsId m = 0; m < scenario.num_microservices(); ++m) {
+    EXPECT_FALSE(after.placement.deployed(m, failed)) << "ms " << m;
+  }
+  EXPECT_TRUE(after.evaluation.storage_ok);
 }
 
 }  // namespace
