@@ -10,9 +10,10 @@
 
 #include <optional>
 
-#include "sim/slot_sim.h"
 #include "sim/testbed.h"
 #include "util/stats.h"
+#include "workload/mobility.h"
+#include "workload/request_gen.h"
 
 int main() {
   using namespace socl;

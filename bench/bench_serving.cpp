@@ -9,7 +9,7 @@
 // class set nearly stable across slots even though individual users churn,
 // so most slots carry or incrementally patch the plan instead of re-solving.
 //
-// Part 2 is the sharded head-to-head (ISSUE 9): the same multi-metro day —
+// Part 2 is the sharded head-to-head: the same multi-metro day —
 // cross-metro commuters re-homing between shards — served once through the
 // single-address-space OnlineSoCL replan rung and once through the
 // geo-sharded coordinator (shard::ShardedSoCL::step, per-metro warm rungs at
@@ -19,10 +19,18 @@
 // on every sharded slot, and a 1-metro sharded day whose CSV is
 // byte-identical to the unsharded loop's.
 //
+// Part 3 is warm-start vs from-scratch online control: two short days on
+// the tiny configuration (in both modes) that replan every slot, once
+// through the warm-start repair and once forcing a full SoCL solve every
+// slot. It reports objective, churn, cold starts and control latency;
+// `--check` gates that re-solving from scratch churns more instances than
+// the warm start.
+//
 // SOCL_BENCH_TINY shrinks the population to smoke-test size (CI runs it
 // twice and diffs the CSVs for bit-identical determinism); SOCL_BENCH_CSV
 // writes the per-slot series to bench_serving.csv (legacy day) and
-// bench_serving_sharded.csv (sharded multi-metro day).
+// bench_serving_sharded.csv (sharded multi-metro day), and Part 3's
+// deterministic summary to bench_serving_online.csv.
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -134,6 +142,63 @@ bool identity_lane() {
   return identical;
 }
 
+/// Part 3: the warm-start online controller vs a full re-solve every slot.
+/// Both days replan on every slot (full_replan_period = 1); the from-scratch
+/// day also forces OnlineSoCL's periodic full re-solve on every step. The
+/// days are tiny in both modes: the claim is structural, not about scale.
+bool online_lane() {
+  serve::ServingConfig warm = bench::serving_day_config(/*tiny=*/true);
+  warm.slots = 8;
+  warm.full_replan_period = 1;
+  serve::ServingConfig from_scratch = warm;
+  from_scratch.online.full_resolve_period = 1;
+  bench::banner("Online control",
+                "warm-start replan vs full re-solve every slot, " +
+                    std::to_string(warm.slots) + " slots, population " +
+                    std::to_string(warm.population) + " users");
+
+  const serve::ServingReport warm_day = serve::ServingLoop(warm).run();
+  const serve::ServingReport scratch_day =
+      serve::ServingLoop(from_scratch).run();
+
+  const auto mean_objective = [](const serve::ServingReport& day) {
+    double total = 0.0;
+    for (const serve::SlotReport& slot : day.slots) total += slot.objective;
+    return total / static_cast<double>(day.slots.size());
+  };
+  // control_ms is wall-clock, so the CSV mirror leaves it out.
+  util::Table table({"day", "mean_objective", "churn", "churn_cost",
+                     "cold_rate", "prewarm_hits"});
+  const auto add_row = [&](const char* name,
+                           const serve::ServingReport& day) {
+    table.row()
+        .cell(name)
+        .num(mean_objective(day), 1)
+        .integer(day.churn_instances)
+        .num(day.churn_cost, 1)
+        .num(day.cold_start_rate(), 4)
+        .integer(day.prewarm_ahead_hits);
+  };
+  add_row("warm", warm_day);
+  add_row("from_scratch", scratch_day);
+  table.print(std::cout);
+  bench::maybe_write_csv(table, "bench_serving_online");
+
+  const auto slots = static_cast<double>(warm_day.slots.size());
+  std::cout << "objective: warm "
+            << 100.0 * (mean_objective(warm_day) / mean_objective(scratch_day) -
+                        1.0)
+            << " % vs from scratch\n"
+            << "mean control latency/slot: warm "
+            << warm_day.control_s_total / slots * 1e3 << " ms, from scratch "
+            << scratch_day.control_s_total / slots * 1e3 << " ms\n";
+
+  const bool ok = scratch_day.churn_instances > warm_day.churn_instances;
+  std::cout << "online lane (from-scratch churn > warm churn): "
+            << (ok ? "yes" : "NO") << '\n';
+  return ok;
+}
+
 }  // namespace
 
 int run(bool check) {
@@ -235,6 +300,9 @@ int run(bool check) {
     std::cout << "(note: unsharded control-lane violations are reported, "
                  "not gated)\n";
   }
+
+  // ---- Part 3: warm-start vs from-scratch online control.
+  ok = online_lane() && ok;
   if (check) {
     // The control-latency ratio is hardware-dependent and stays a reported
     // number; the structural claims gate.

@@ -40,7 +40,7 @@ Solution OnlineSoCL::step(const Scenario& scenario, OnlineStepStats* stats) {
 
   const bool periodic_resolve =
       params_.full_resolve_period > 0 &&
-      slot_ % params_.full_resolve_period == 1 && slot_ > 1;
+      (slot_ - 1) % params_.full_resolve_period == 0 && slot_ > 1;
 
   Solution solution{Placement(scenario), std::nullopt, {}, 0.0, {}};
   bool solved = false;

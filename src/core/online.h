@@ -53,9 +53,9 @@ class OnlineSoCL {
 
   /// Provisioning decision for the current slot's scenario. Node ids and
   /// the catalog must stay fixed across calls; links and capacities may
-  /// degrade (Scenario::set_network — the chaos lane and bench_resilience
-  /// warm-start across node and link failures), and requests may change
-  /// arbitrarily (mobility, fresh chains).
+  /// degrade (Scenario::set_network — the chaos lane warm-starts across
+  /// node and link failures), and requests may change arbitrarily
+  /// (mobility, fresh chains).
   Solution step(const Scenario& scenario, OnlineStepStats* stats = nullptr);
 
   /// Forgets the carried placement (e.g. after a topology change).

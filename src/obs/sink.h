@@ -29,7 +29,7 @@ enum class Phase {
   kCombination,   ///< Algorithms 3/4: multi-scale combination + ζ lists
   kRouting,       ///< chain-DP routing: cache refresh / scoring / route_all
   kServerless,    ///< container-runtime windows and lifecycle events
-  kSim,           ///< time-slotted simulation
+  kSim,           ///< one time slot of the serving loop
   kOther,         ///< top-level / uncategorised spans
 };
 

@@ -31,8 +31,9 @@ std::uint64_t bits(double value) {
   return out;
 }
 
-/// FNV-1a over everything the control plane sees as demand (same shape as
-/// the slot simulator's trace identity).
+/// FNV-1a over everything the control plane sees as demand: a pure function
+/// of the request set, so it identifies the trace independently of the
+/// decisions taken on it.
 std::uint64_t demand_fingerprint(
     const std::vector<workload::UserRequest>& requests) {
   std::uint64_t h = 0xCBF29CE484222325ULL;
@@ -225,7 +226,7 @@ ServingLoop::ServingLoop(ServingConfig config)
 
   if (config_.sharded) rebuild_sharded();
 
-  // The mobility model keeps the generator's hotspot bias, as in slot_sim.
+  // The mobility model keeps the generator's hotspot bias.
   util::Rng weight_rng(config_.seed ^ 0xabcdULL);
   weights_ = workload::attachment_weights(scenario_.network().num_nodes(),
                                           config_.scenario.requests,
@@ -667,7 +668,7 @@ SlotReport ServingLoop::step() {
     arrival_config.seed =
         config_.seed ^
         (0x9E3779B97F4A7C15ULL * (static_cast<std::uint64_t>(slot_)));
-    const auto arrivals =
+    auto arrivals =
         serverless::generate_arrivals(scenario_.num_users(), arrival_config);
 
     serverless::ServerlessConfig runtime_config = config_.runtime;
@@ -697,57 +698,49 @@ SlotReport ServingLoop::step() {
         }
       }
     }
-    const std::uint64_t des_seed = arrival_config.seed ^ 0x5E71E55ULL;
+    // Per-metro serverless pools when sharded: each metro's control plane
+    // simulates its own DES window over its residents' slice of the global
+    // arrival stream (split preserves order and per-user streams, so the
+    // one-metro split is the unsharded stream verbatim). Unsharded, the
+    // whole stream is one group. Group 0 runs under `des_seed` itself, which
+    // the one-metro identity relies on. Pool state is per run — a rare
+    // backhaul-crossing route invokes the remote instance under the caller
+    // metro's pool, modelling per-region serverless scaling.
+    std::vector<std::vector<serverless::Arrival>> groups;
     if (sharded_ != nullptr) {
-      // Per-metro serverless pools: each metro's control plane simulates
-      // its own DES window over its residents' slice of the global arrival
-      // stream (split preserves order and per-user streams, so the
-      // one-metro split is the unsharded stream verbatim). Metro 0 keeps
-      // the legacy seed; pool state is per run — a rare backhaul-crossing
-      // route invokes the remote instance under the caller metro's pool,
-      // modelling per-region serverless scaling.
       std::vector<int> user_metro(
           static_cast<std::size_t>(scenario_.num_users()), 0);
       for (int h = 0; h < scenario_.num_users(); ++h) {
         user_metro[static_cast<std::size_t>(h)] = metro_of_[
             static_cast<std::size_t>(scenario_.request(h).attach_node)];
       }
-      const auto groups = serverless::split_arrivals(
-          arrivals, user_metro, std::max(1, config_.metros));
-      for (int m = 0; m < std::max(1, config_.metros); ++m) {
-        const std::uint64_t metro_seed =
-            des_seed ^ (0xA24BAED4963EE407ULL * static_cast<std::uint64_t>(m));
-        const auto metrics = runtime.run(
-            placement_, assignment_, groups[static_cast<std::size_t>(m)],
-            policy, metro_seed, have_previous_ ? &carried : nullptr);
-        report.invocations += metrics.totals.invocations;
-        report.cold_serves += metrics.totals.cold_serves;
-        report.requests_completed +=
-            static_cast<std::int64_t>(metrics.requests.size());
-        for (const serverless::RequestOutcome& outcome : metrics.requests) {
-          if (outcome.total_s() <= scenario_.request(outcome.user).deadline) {
-            ++report.slo_met;
-          }
-        }
-        if (config_.sink != nullptr && metrics.totals.invocations > 0) {
-          config_.sink->observe(
-              "socl.serve.shard.metro_cold_rate",
-              static_cast<double>(metrics.totals.cold_serves) /
-                  static_cast<double>(metrics.totals.invocations));
-        }
-      }
+      groups = serverless::split_arrivals(arrivals, user_metro,
+                                          config_.metros);
     } else {
+      groups.push_back(std::move(arrivals));
+    }
+    const std::uint64_t des_seed = arrival_config.seed ^ 0x5E71E55ULL;
+    for (std::size_t m = 0; m < groups.size(); ++m) {
+      const std::uint64_t metro_seed =
+          des_seed ^ (0xA24BAED4963EE407ULL * static_cast<std::uint64_t>(m));
       const auto metrics =
-          runtime.run(placement_, assignment_, arrivals, policy, des_seed,
+          runtime.run(placement_, assignment_, groups[m], policy, metro_seed,
                       have_previous_ ? &carried : nullptr);
-      report.invocations = metrics.totals.invocations;
-      report.cold_serves = metrics.totals.cold_serves;
-      report.requests_completed =
+      report.invocations += metrics.totals.invocations;
+      report.cold_serves += metrics.totals.cold_serves;
+      report.requests_completed +=
           static_cast<std::int64_t>(metrics.requests.size());
       for (const serverless::RequestOutcome& outcome : metrics.requests) {
         if (outcome.total_s() <= scenario_.request(outcome.user).deadline) {
           ++report.slo_met;
         }
+      }
+      if (sharded_ != nullptr && config_.sink != nullptr &&
+          metrics.totals.invocations > 0) {
+        config_.sink->observe(
+            "socl.serve.shard.metro_cold_rate",
+            static_cast<double>(metrics.totals.cold_serves) /
+                static_cast<double>(metrics.totals.invocations));
       }
     }
     report.slo_attainment =

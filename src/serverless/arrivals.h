@@ -1,6 +1,6 @@
 // Request-arrival streams for the serverless runtime simulator.
 //
-// The slot simulator and the figure benches need open-loop arrival processes
+// The serving loop and the serverless benches need open-loop arrival processes
 // (requests hit the platform at wall-clock instants, not in fixed rounds) so
 // that container pools actually idle, expire, and cold-start. The stream is
 // driven by the same diurnal + bursty intensity profile the synthetic

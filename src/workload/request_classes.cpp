@@ -7,7 +7,7 @@
 namespace socl::workload {
 namespace {
 
-// FNV-1a, the same mix the slot simulator uses for demand fingerprints.
+// FNV-1a, the same mix the serving loop uses for demand fingerprints.
 constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
 constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
 

@@ -7,7 +7,7 @@
 #include "baselines/random_provision.h"
 #include "ilp/exact_solver.h"
 #include "ilp/socl_ilp.h"
-#include "sim/slot_sim.h"
+#include "workload/mobility.h"
 
 namespace socl {
 namespace {
@@ -97,18 +97,29 @@ TEST(Integration, SoclRuntimeScalesGracefully) {
 
 TEST(Integration, OnlineSlottedComparisonKeepsSoclAhead) {
   // Fig. 10 shape: over a mobility trace, SoCL's average latency stays at or
-  // below RP's on the shared trace.
-  sim::SlotSimConfig sim;
-  sim.slots = 6;
-  sim.mobility.move_prob = 0.5;
+  // below RP's. Both algorithms replay the same seeded trace.
   const auto config = paper_like_config(8, 25, 6500);
-  const auto socl_series =
-      sim::run_slotted(config, 900, baselines::SoCLAlgorithm(), sim);
-  const auto rp_series =
-      sim::run_slotted(config, 900, baselines::RandomProvision(1), sim);
-  double socl_latency = 0, rp_latency = 0;
-  for (const auto& m : socl_series) socl_latency += m.mean_latency;
-  for (const auto& m : rp_series) rp_latency += m.mean_latency;
+  const auto trace_latency =
+      [&](const baselines::ProvisioningAlgorithm& algorithm) {
+        core::Scenario scenario = core::make_scenario(config, 900);
+        util::Rng rng(11);
+        util::Rng weight_rng(11 ^ 0xabcdULL);
+        const auto weights = workload::attachment_weights(
+            scenario.network().num_nodes(), config.requests, weight_rng);
+        workload::MobilityConfig mobility;
+        mobility.move_prob = 0.5;
+        double total = 0.0;
+        for (int slot = 0; slot < 6; ++slot) {
+          auto requests = scenario.requests();
+          workload::mobility_step(scenario.network(), requests, weights,
+                                  mobility, rng);
+          scenario.set_requests(std::move(requests));
+          total += algorithm.solve(scenario).evaluation.mean_latency;
+        }
+        return total;
+      };
+  const double socl_latency = trace_latency(baselines::SoCLAlgorithm());
+  const double rp_latency = trace_latency(baselines::RandomProvision(1));
   EXPECT_LE(socl_latency, rp_latency * 1.05);
 }
 

@@ -100,19 +100,22 @@ TEST(OnlineSoCLTest, WarmStartCheaperThanFullResolve) {
 }
 
 TEST(OnlineSoCLTest, PeriodicFullResolve) {
+  // Step i (0-based) is the cold start or a periodic re-solve whenever
+  // i % period == 0; period 1 therefore re-solves on every step.
   auto scenario = make_scenario(base_config(), 8);
-  OnlineParams params;
-  params.full_resolve_period = 3;
-  OnlineSoCL online(params);
-  std::vector<bool> full;
-  for (int slot = 0; slot < 7; ++slot) {
-    OnlineStepStats stats;
-    online.step(scenario, &stats);
-    full.push_back(stats.full_resolve);
+  for (const int period : {3, 1}) {
+    OnlineParams params;
+    params.full_resolve_period = period;
+    OnlineSoCL online(params);
+    for (int step = 0; step < 7; ++step) {
+      OnlineStepStats stats;
+      online.step(scenario, &stats);
+      if (step % period == 0) {
+        EXPECT_TRUE(stats.full_resolve)
+            << "period " << period << ", step " << step;
+      }
+    }
   }
-  EXPECT_TRUE(full[0]);  // cold start
-  EXPECT_TRUE(full[3]);  // slot_ == 4 -> 4 % 3 == 1
-  EXPECT_TRUE(full[6]);  // slot_ == 7 -> 7 % 3 == 1
 }
 
 TEST(OnlineSoCLTest, ResetForgetsState) {

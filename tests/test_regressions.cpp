@@ -4,31 +4,10 @@
 
 #include "baselines/gcog.h"
 #include "baselines/jdr.h"
-#include "sim/slot_sim.h"
 #include "solver/mip.h"
 
 namespace socl {
 namespace {
-
-// Regression: run_slotted with regenerate_chains once indexed a fresh
-// request vector sized by RequestGenConfig's default user count (40) with
-// indices from the scenario's actual population — heap corruption when the
-// scenario had more users (e.g. 50). The regenerated population must match
-// the scenario's.
-TEST(Regression, RegeneratedChainsMatchScenarioUserCount) {
-  core::ScenarioConfig config;
-  config.num_nodes = 6;
-  config.num_users = 55;  // != RequestGenConfig default of 40
-  sim::SlotSimConfig sim;
-  sim.slots = 3;
-  sim.regenerate_chains = true;
-  const auto series =
-      sim::run_slotted(config, 77, baselines::SoCLAlgorithm(), sim);
-  ASSERT_EQ(series.size(), 3u);
-  for (const auto& slot : series) {
-    EXPECT_GT(slot.objective, 0.0);
-  }
-}
 
 // Regression: JDR deployed its feasibility floor AFTER spending the budget
 // on replicas, forcing over-budget placements (8500 vs 6500 observed).

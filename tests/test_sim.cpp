@@ -1,10 +1,6 @@
-// Tests for the slotted simulator and the Kubernetes-testbed emulator.
+// Tests for the Kubernetes-testbed emulator.
 #include <gtest/gtest.h>
 
-#include <cmath>
-
-#include "baselines/random_provision.h"
-#include "sim/slot_sim.h"
 #include "sim/testbed.h"
 #include "util/stats.h"
 
@@ -19,136 +15,6 @@ core::ScenarioConfig base_config(int nodes = 6, int users = 15) {
   config.num_nodes = nodes;
   config.num_users = users;
   return config;
-}
-
-TEST(SlotSim, ProducesOneMetricPerSlot) {
-  SlotSimConfig sim;
-  sim.slots = 5;
-  const auto series = run_slotted(base_config(), 1,
-                                  baselines::SoCLAlgorithm(), sim);
-  ASSERT_EQ(series.size(), 5u);
-  for (int s = 0; s < 5; ++s) {
-    EXPECT_EQ(series[static_cast<std::size_t>(s)].slot, s);
-    EXPECT_GT(series[static_cast<std::size_t>(s)].objective, 0.0);
-  }
-}
-
-TEST(SlotSim, DeterministicTraceAcrossRuns) {
-  SlotSimConfig sim;
-  sim.slots = 4;
-  const auto a = run_slotted(base_config(), 2,
-                             baselines::SoCLAlgorithm(), sim);
-  const auto b = run_slotted(base_config(), 2,
-                             baselines::SoCLAlgorithm(), sim);
-  for (std::size_t s = 0; s < a.size(); ++s) {
-    EXPECT_NEAR(a[s].objective, b[s].objective, 1e-9);
-  }
-}
-
-TEST(SlotSim, MobilityChangesMetricsOverTime) {
-  SlotSimConfig sim;
-  sim.slots = 6;
-  sim.mobility.move_prob = 0.8;
-  const auto series = run_slotted(base_config(), 3,
-                                  baselines::SoCLAlgorithm(), sim);
-  // Not all slots can be identical with this much churn.
-  bool varies = false;
-  for (std::size_t s = 1; s < series.size(); ++s) {
-    if (std::abs(series[s].objective - series[0].objective) > 1e-9) {
-      varies = true;
-    }
-  }
-  EXPECT_TRUE(varies);
-}
-
-TEST(SlotSim, RegeneratedChainsSameTraceAcrossAlgorithms) {
-  // The mobility/chain series is algorithm-independent: with
-  // regenerate_chains on, the same seed must put the identical demand in
-  // front of every algorithm, slot for slot.
-  SlotSimConfig sim;
-  sim.slots = 4;
-  sim.regenerate_chains = true;
-  sim.mobility.move_prob = 0.6;
-  const auto socl_series = run_slotted(base_config(), 9,
-                                       baselines::SoCLAlgorithm(), sim);
-  const auto rp_series = run_slotted(base_config(), 9,
-                                     baselines::RandomProvision(), sim);
-  ASSERT_EQ(socl_series.size(), rp_series.size());
-  for (std::size_t s = 0; s < socl_series.size(); ++s) {
-    EXPECT_NE(socl_series[s].demand_fingerprint, 0u);
-    EXPECT_EQ(socl_series[s].demand_fingerprint,
-              rp_series[s].demand_fingerprint)
-        << "slot " << s;
-  }
-}
-
-TEST(SlotSim, RegeneratedChainsMetricsFiniteAndViolationsRecounted) {
-  SlotSimConfig sim;
-  sim.slots = 4;
-  sim.regenerate_chains = true;
-  int observed_slots = 0;
-  sim.observer = [&](const core::Scenario& scenario,
-                     const core::Solution& solution,
-                     const SlotMetrics& metrics) {
-    ++observed_slots;
-    // Independent recount of deadline violations against the slot's live
-    // requests: the reported metric must not undercount.
-    ASSERT_TRUE(solution.assignment.has_value());
-    const core::Evaluator evaluator(scenario);
-    const auto eval =
-        evaluator.evaluate(solution.placement, *solution.assignment);
-    EXPECT_EQ(metrics.deadline_violations, eval.deadline_violations);
-  };
-  const auto series = run_slotted(base_config(), 10,
-                                  baselines::SoCLAlgorithm(), sim);
-  EXPECT_EQ(observed_slots, 4);
-  for (const auto& m : series) {
-    EXPECT_TRUE(std::isfinite(m.objective));
-    EXPECT_TRUE(std::isfinite(m.total_latency));
-    EXPECT_TRUE(std::isfinite(m.mean_latency));
-    EXPECT_TRUE(std::isfinite(m.max_latency));
-    EXPECT_GT(m.objective, 0.0);
-    EXPECT_GE(m.deadline_violations, 0);
-  }
-}
-
-TEST(SlotSim, ServerlessModeMeasuresColdStartsDeterministically) {
-  SlotSimConfig sim;
-  sim.slots = 3;
-  sim.mobility.move_prob = 0.5;
-  sim.serverless.enabled = true;
-  sim.serverless.arrivals.horizon_s = 10.0;
-  sim.serverless.arrivals.mean_rate = 0.1;
-  sim.serverless.arrivals.bins = 4;
-  sim.serverless.policy = ServerlessPolicyKind::kReactive;
-  const auto a = run_slotted(base_config(), 12,
-                             baselines::SoCLAlgorithm(), sim);
-  const auto b = run_slotted(base_config(), 12,
-                             baselines::SoCLAlgorithm(), sim);
-  ASSERT_EQ(a.size(), 3u);
-  bool any_invocations = false;
-  for (std::size_t s = 0; s < a.size(); ++s) {
-    EXPECT_EQ(a[s].invocations, b[s].invocations);
-    EXPECT_EQ(a[s].cold_starts, b[s].cold_starts);
-    EXPECT_EQ(a[s].container_boots, b[s].container_boots);
-    EXPECT_DOUBLE_EQ(a[s].serverless_mean_s, b[s].serverless_mean_s);
-    EXPECT_LE(a[s].cold_starts, a[s].invocations);
-    EXPECT_TRUE(std::isfinite(a[s].serverless_mean_s));
-    EXPECT_TRUE(std::isfinite(a[s].cold_wait_mean_s));
-    if (a[s].invocations > 0) any_invocations = true;
-    if (s > 0) EXPECT_GE(a[s].placement_churn, 0);
-  }
-  EXPECT_TRUE(any_invocations);
-}
-
-TEST(SlotSim, RegeneratedChainsKeepUserCount) {
-  SlotSimConfig sim;
-  sim.slots = 3;
-  sim.regenerate_chains = true;
-  const auto series = run_slotted(base_config(), 4,
-                                  baselines::SoCLAlgorithm(), sim);
-  EXPECT_EQ(series.size(), 3u);
-  for (const auto& m : series) EXPECT_GT(m.objective, 0.0);
 }
 
 struct TestbedFixture {
