@@ -47,7 +47,6 @@ inline serve::ServingConfig serving_day_config(bool tiny) {
     config.population = 1'000'000;
     config.slot_horizon_s = 30.0;
     config.arrivals.mean_rate = 1e-4;
-    config.runtime.threads = 0;  // parallel route-table precompute
   }
   config.slots = 24;
   config.mobility.move_prob = 0.3;

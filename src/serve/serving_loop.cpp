@@ -668,8 +668,13 @@ SlotReport ServingLoop::step() {
     arrival_config.seed =
         config_.seed ^
         (0x9E3779B97F4A7C15ULL * (static_cast<std::uint64_t>(slot_)));
-    auto arrivals =
-        serverless::generate_arrivals(scenario_.num_users(), arrival_config);
+    std::vector<serverless::Arrival> arrivals;
+    {
+      const obs::ScopedSpan arrivals_span(
+          config_.sink, obs::Phase::kServerless, "serverless.arrivals");
+      arrivals = serverless::generate_arrivals(scenario_.num_users(),
+                                               arrival_config);
+    }
 
     serverless::ServerlessConfig runtime_config = config_.runtime;
     if (runtime_config.sink == nullptr) runtime_config.sink = config_.sink;
@@ -730,11 +735,7 @@ SlotReport ServingLoop::step() {
       report.cold_serves += metrics.totals.cold_serves;
       report.requests_completed +=
           static_cast<std::int64_t>(metrics.requests.size());
-      for (const serverless::RequestOutcome& outcome : metrics.requests) {
-        if (outcome.total_s() <= scenario_.request(outcome.user).deadline) {
-          ++report.slo_met;
-        }
-      }
+      report.slo_met += metrics.totals.slo_met;
       if (sharded_ != nullptr && config_.sink != nullptr &&
           metrics.totals.invocations > 0) {
         config_.sink->observe(

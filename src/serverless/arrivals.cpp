@@ -1,6 +1,7 @@
 #include "serverless/arrivals.h"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 #include "util/rng.h"
@@ -52,14 +53,36 @@ std::vector<Arrival> generate_arrivals(int num_users,
   const double bin_len =
       config.horizon_s / static_cast<double>(config.bins);
 
+  // Per-bin Poisson means and Knuth thresholds, shared by every user. Each
+  // user's stream draws exactly what util::Rng::poisson would: nothing for
+  // a zero mean, Knuth's product loop below 30, and (through poisson
+  // itself) the normal approximation from 30.
+  const auto bins = static_cast<std::size_t>(config.bins);
+  std::vector<double> expected(bins);
+  std::vector<double> threshold(bins, 0.0);
+  for (std::size_t b = 0; b < bins; ++b) {
+    expected[b] = config.mean_rate * bin_len * profile[b];
+    if (expected[b] > 0.0 && expected[b] < 30.0) {
+      threshold[b] = std::exp(-expected[b]);
+    }
+  }
+
   std::vector<Arrival> all;
+  std::vector<double> times;
   for (int u = 0; u < num_users; ++u) {
     util::Rng rng(mix_stream(config.seed, static_cast<std::uint64_t>(u)));
-    std::vector<double> times;
-    for (int b = 0; b < config.bins; ++b) {
-      const double expected =
-          config.mean_rate * bin_len * profile[static_cast<std::size_t>(b)];
-      const auto count = rng.poisson(expected);
+    times.clear();
+    for (std::size_t b = 0; b < bins; ++b) {
+      std::uint64_t count = 0;
+      if (threshold[b] > 0.0) {
+        double product = rng.uniform();
+        while (product > threshold[b]) {
+          ++count;
+          product *= rng.uniform();
+        }
+      } else {
+        count = rng.poisson(expected[b]);
+      }
       const double lo = static_cast<double>(b) * bin_len;
       for (std::uint64_t i = 0; i < count; ++i) {
         times.push_back(lo + rng.uniform(0.0, bin_len));
@@ -70,12 +93,36 @@ std::vector<Arrival> generate_arrivals(int num_users,
       all.push_back({times[i], u, static_cast<int>(i)});
     }
   }
-  std::sort(all.begin(), all.end(), [](const Arrival& a, const Arrival& b) {
-    if (a.time_s != b.time_s) return a.time_s < b.time_s;
-    if (a.user != b.user) return a.user < b.user;
-    return a.seq < b.seq;
-  });
-  return all;
+  // Merge by a counting sort on a time bucket, then (time, user, seq) inside
+  // each bucket. The bucket index is monotone in time, so concatenating the
+  // buckets yields the fully sorted stream in O(arrivals).
+  const std::size_t buckets = std::max<std::size_t>(all.size(), 1);
+  const double scale = static_cast<double>(buckets) / config.horizon_s;
+  const auto bucket_of = [&](double t) {
+    const double x = t * scale;
+    return x < static_cast<double>(buckets) ? static_cast<std::size_t>(x)
+                                            : buckets - 1;
+  };
+  std::vector<std::size_t> next(buckets + 1, 0);
+  for (const Arrival& arrival : all) ++next[bucket_of(arrival.time_s) + 1];
+  for (std::size_t b = 0; b < buckets; ++b) next[b + 1] += next[b];
+  std::vector<Arrival> merged(all.size());
+  for (const Arrival& arrival : all) {
+    merged[next[bucket_of(arrival.time_s)]++] = arrival;
+  }
+  // next[b] now ends bucket b (and begins bucket b + 1).
+  std::size_t begin = 0;
+  for (std::size_t b = 0; b < buckets; ++b) {
+    std::sort(merged.begin() + static_cast<std::ptrdiff_t>(begin),
+              merged.begin() + static_cast<std::ptrdiff_t>(next[b]),
+              [](const Arrival& x, const Arrival& y) {
+                if (x.time_s != y.time_s) return x.time_s < y.time_s;
+                if (x.user != y.user) return x.user < y.user;
+                return x.seq < y.seq;
+              });
+    begin = next[b];
+  }
+  return merged;
 }
 
 std::vector<std::vector<Arrival>> split_arrivals(

@@ -3,17 +3,16 @@
 #include <algorithm>
 #include <cmath>
 #include <deque>
-#include <queue>
 #include <stdexcept>
 
 #include "obs/sink.h"
+#include "serverless/event_queue.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace socl::serverless {
 namespace {
 
-enum class EventKind : int {
+enum class EventKind : std::uint8_t {
   kArrival = 0,
   kStageArrive = 1,
   kStageDone = 2,
@@ -23,22 +22,12 @@ enum class EventKind : int {
   kRequestDone = 6,
 };
 
+/// What an event does; its time and push order live in the queue's key.
 struct Event {
-  double time = 0.0;
-  /// Push sequence number; ties on `time` break FIFO so the processing
-  /// order is a pure function of the push order.
-  std::uint64_t order = 0;
-  EventKind kind = EventKind::kArrival;
   int a = -1;
   int b = -1;
   int c = -1;
-};
-
-struct EventLater {
-  bool operator()(const Event& x, const Event& y) const {
-    if (x.time != y.time) return x.time > y.time;
-    return x.order > y.order;
-  }
+  EventKind kind = EventKind::kArrival;
 };
 
 /// Counter-keyed stream derivation (SplitMix64 finishes the mixing inside
@@ -88,17 +77,26 @@ struct Pool {
   int boots = 0;  ///< boot counter, keys the cold-start RNG stream
 };
 
-/// Static per-user dispatch data (pure function of scenario + assignment).
-struct UserRoute {
-  std::vector<int> pool;
-  std::vector<double> transfer_in;  ///< into position p (p==0: d_in)
-  std::vector<double> proc_base;    ///< q(m)/c(v_k) at the assigned node
+/// One chain position of an arriving user's route (pure function of
+/// scenario + assignment).
+struct Stage {
+  double transfer_in = 0.0;  ///< into this position (first: d_in)
+  double proc_base = 0.0;    ///< q(m)/c(v_k) at the assigned node
+  int pool = -1;
+};
+
+/// An arriving user's route: stages [first, first + len).
+struct Route {
+  std::size_t first = 0;
+  std::size_t len = 0;
   double d_out = 0.0;
+  double deadline = 0.0;  ///< D_h^max
 };
 
 struct Job {
   int user = -1;
   int seq = 0;
+  int route = -1;
   std::size_t pos = 0;
   double arrival = 0.0;
   double queue_s = 0.0;
@@ -168,73 +166,90 @@ RuntimeMetrics ServerlessRuntime::run(
     }
   }
 
-  // ---- Static per-user route tables (pure; fans out over users) ----
+  // ---- Every user's assignment must hit deployed instances ----
   const auto& requests = scenario.requests();
-  std::vector<UserRoute> routes(requests.size());
-  const auto build_route = [&](std::size_t h) {
-    const auto& request = requests[h];
-    UserRoute& route = routes[h];
-    const std::size_t len = request.chain.size();
-    route.pool.resize(len);
-    route.transfer_in.resize(len);
-    route.proc_base.resize(len);
-    NodeId prev = request.attach_node;
-    for (std::size_t pos = 0; pos < len; ++pos) {
-      const NodeId k = assignment.node_for(request.id, static_cast<int>(pos));
-      const MsId m = request.chain[pos];
-      const int pi =
-          pool_of[static_cast<std::size_t>(m) *
+  for (const auto& request : requests) {
+    const auto route = assignment.user_route(request.id);
+    if (route.size() < request.chain.size()) {
+      throw std::out_of_range("ServerlessRuntime: assignment route too short");
+    }
+    for (std::size_t pos = 0; pos < request.chain.size(); ++pos) {
+      if (pool_of[static_cast<std::size_t>(request.chain[pos]) *
                       static_cast<std::size_t>(nodes) +
-                  static_cast<std::size_t>(k)];
-      if (pi < 0) {
+                  static_cast<std::size_t>(route[pos])] < 0) {
         throw std::invalid_argument(
             "ServerlessRuntime: assignment uses an undeployed instance");
       }
-      route.pool[pos] = pi;
-      const double data =
-          pos == 0 ? request.data_in : request.edge_data[pos - 1];
-      route.transfer_in[pos] = vlinks.transfer_time(data, prev, k);
-      route.proc_base[pos] = catalog.microservice(m).compute_gflop /
-                             network.node(k).compute_gflops;
-      prev = k;
     }
-    route.d_out = vlinks.transfer_time(
-        request.data_out, prev,
-        assignment.node_for(request.id, 0));
-  };
-  if (config_.threads != 1 && requests.size() > 1) {
-    util::ThreadPool pool(static_cast<std::size_t>(
-        config_.threads > 0 ? config_.threads : 0));
-    pool.parallel_for(requests.size(), build_route);
-  } else {
-    for (std::size_t h = 0; h < requests.size(); ++h) build_route(h);
   }
 
-  // ---- Jobs (one per arrival) ----
+  // ---- Jobs (one per arrival) and route tables of the arriving users ----
+  // A user's route is built the first time they arrive; users without
+  // arrivals cost nothing beyond the check above.
+  std::vector<int> route_of(requests.size(), -1);
+  std::vector<Route> routes;
+  std::vector<Stage> stages;
+  const auto build_route = [&](const workload::UserRequest& request) {
+    const auto nodes_of = assignment.user_route(request.id);
+    Route route;
+    route.first = stages.size();
+    route.len = request.chain.size();
+    route.deadline = request.deadline;
+    NodeId prev = request.attach_node;
+    for (std::size_t pos = 0; pos < route.len; ++pos) {
+      const NodeId k = nodes_of[pos];
+      const MsId m = request.chain[pos];
+      Stage stage;
+      stage.pool = pool_of[static_cast<std::size_t>(m) *
+                               static_cast<std::size_t>(nodes) +
+                           static_cast<std::size_t>(k)];
+      const double data =
+          pos == 0 ? request.data_in : request.edge_data[pos - 1];
+      stage.transfer_in = vlinks.transfer_time(data, prev, k);
+      stage.proc_base = catalog.microservice(m).compute_gflop /
+                        network.node(k).compute_gflops;
+      stages.push_back(stage);
+      prev = k;
+    }
+    route.d_out = vlinks.transfer_time(request.data_out, prev, nodes_of[0]);
+    routes.push_back(route);
+  };
+  const auto stage_at = [&](const Job& job, std::size_t pos) -> const Stage& {
+    return stages[routes[static_cast<std::size_t>(job.route)].first + pos];
+  };
   std::vector<Job> jobs;
   jobs.reserve(arrivals.size());
-  for (const auto& arrival : arrivals) {
+  for (std::size_t i = 0; i < arrivals.size(); ++i) {
+    const Arrival& arrival = arrivals[i];
     if (arrival.user < 0 ||
         static_cast<std::size_t>(arrival.user) >= requests.size()) {
       throw std::invalid_argument("ServerlessRuntime: arrival user id");
     }
+    if (i > 0 && arrival.time_s < arrivals[i - 1].time_s) {
+      throw std::invalid_argument(
+          "ServerlessRuntime: arrivals not sorted by time");
+    }
+    int& route = route_of[static_cast<std::size_t>(arrival.user)];
+    if (route < 0) {
+      route = static_cast<int>(routes.size());
+      build_route(requests[static_cast<std::size_t>(arrival.user)]);
+    }
     Job job;
     job.user = arrival.user;
     job.seq = arrival.seq;
+    job.route = route;
     job.arrival = arrival.time_s;
     jobs.push_back(job);
   }
 
   RuntimeMetrics metrics;
+  metrics.requests.reserve(arrivals.size());
   RuntimeTotals& totals = metrics.totals;
 
   // ---- Event queue ----
-  std::priority_queue<Event, std::vector<Event>, EventLater> eq;
-  std::uint64_t order = 0;
+  EventQueue<Event> eq;
   const auto push = [&](double t, EventKind kind, int a = -1, int b = -1,
-                        int c = -1) {
-    eq.push(Event{t, order++, kind, a, b, c});
-  };
+                        int c = -1) { eq.push(t, Event{a, b, c, kind}); };
 
   int live_total = 0;
   std::int64_t live_slots = 0;  ///< live containers × concurrency
@@ -263,9 +278,10 @@ RuntimeMetrics ServerlessRuntime::run(
   const auto integrate = [&](double from, double to) {
     if (!series || to <= from) return;
     // Split the interval across bins; time past the horizon lands in the
-    // last bin.
-    while (from < to) {
-      const std::size_t b = series_bin(from);
+    // last bin. Walk bins by index: when rounding puts `from` on a bin's
+    // upper edge, series_bin(from) names the bin it just left, and
+    // recomputing it from `from` would never advance.
+    for (std::size_t b = series_bin(from); from < to; ++b) {
       const double bin_end =
           b + 1 == static_cast<std::size_t>(config_.series_bins)
               ? to
@@ -281,13 +297,13 @@ RuntimeMetrics ServerlessRuntime::run(
   const auto schedule_expire = [&](int pi, int ci, double now) {
     Pool& pool = pools[static_cast<std::size_t>(pi)];
     Container& c = pool.containers[static_cast<std::size_t>(ci)];
-    util::Rng rng(mix(seed ^ 0x6B656570ULL, static_cast<std::uint64_t>(pi),
-                      static_cast<std::uint64_t>(ci),
-                      static_cast<std::uint64_t>(c.gen)));
-    const double life = config_.keep_alive_s <= 0.0
-                            ? 0.0
-                            : lognormal_mean(rng, config_.keep_alive_s,
-                                             config_.keep_alive_sigma);
+    double life = std::max(config_.keep_alive_s, 0.0);
+    if (life > 0.0 && config_.keep_alive_sigma > 0.0) {
+      util::Rng rng(mix(seed ^ 0x6B656570ULL, static_cast<std::uint64_t>(pi),
+                        static_cast<std::uint64_t>(ci),
+                        static_cast<std::uint64_t>(c.gen)));
+      life = lognormal_mean(rng, config_.keep_alive_s, config_.keep_alive_sigma);
+    }
     push(now + life, EventKind::kContainerExpire, pi, ci, c.gen);
   };
 
@@ -355,8 +371,7 @@ RuntimeMetrics ServerlessRuntime::run(
       ++bin_invocations[b];
       if (cold_serve) ++bin_cold[b];
     }
-    double proc = routes[static_cast<std::size_t>(job.user)]
-                      .proc_base[job.pos];
+    double proc = stage_at(job, job.pos).proc_base;
     if (config_.proc_jitter_sigma > 0.0) {
       util::Rng rng(mix(seed ^ 0x9D0C3551ULL,
                         static_cast<std::uint64_t>(job.user),
@@ -414,9 +429,10 @@ RuntimeMetrics ServerlessRuntime::run(
   }
 
   // ---- Seed events: arrivals and policy ticks ----
-  for (std::size_t i = 0; i < arrivals.size(); ++i) {
-    push(arrivals[i].time_s, EventKind::kArrival, static_cast<int>(i));
-  }
+  // Arrivals are not queued: they take the next arrivals.size() push orders
+  // and the loop merges the sorted stream with the queue by (time, order),
+  // so every event is processed exactly where a queued arrival would be.
+  const std::uint64_t arrival_order = eq.reserve_orders(arrivals.size());
   if (config_.policy_tick_s > 0.0) {
     for (double t = config_.policy_tick_s; t <= horizon;
          t += config_.policy_tick_s) {
@@ -426,10 +442,23 @@ RuntimeMetrics ServerlessRuntime::run(
 
   // ---- Event loop ----
   double t_prev = 0.0;
-  while (!eq.empty()) {
-    const Event event = eq.top();
-    eq.pop();
-    const double now = event.time;
+  std::size_t next_arrival = 0;
+  for (;;) {
+    double now;
+    Event event;
+    if (next_arrival < arrivals.size() &&
+        (eq.empty() ||
+         arrivals[next_arrival].time_s < eq.top_time() ||
+         (arrivals[next_arrival].time_s == eq.top_time() &&
+          arrival_order + next_arrival < eq.top_order()))) {
+      now = arrivals[next_arrival].time_s;
+      event.a = static_cast<int>(next_arrival++);
+    } else if (!eq.empty()) {
+      now = eq.top_time();
+      event = eq.pop();
+    } else {
+      break;
+    }
     integrate(t_prev, now);
     t_prev = now;
     if (event_log != nullptr) {
@@ -442,8 +471,7 @@ RuntimeMetrics ServerlessRuntime::run(
         const int ji = event.a;
         Job& job = jobs[static_cast<std::size_t>(ji)];
         job.pos = 0;
-        const double d_in =
-            routes[static_cast<std::size_t>(job.user)].transfer_in[0];
+        const double d_in = stage_at(job, 0).transfer_in;
         job.transfer_s += d_in;
         push(now + d_in, EventKind::kStageArrive, ji, 0);
         break;
@@ -452,8 +480,7 @@ RuntimeMetrics ServerlessRuntime::run(
         const int ji = event.a;
         Job& job = jobs[static_cast<std::size_t>(ji)];
         job.pos = static_cast<std::size_t>(event.b);
-        const int pi =
-            routes[static_cast<std::size_t>(job.user)].pool[job.pos];
+        const int pi = stage_at(job, job.pos).pool;
         Pool& pool = pools[static_cast<std::size_t>(pi)];
         const int ci = find_free(pool);
         if (ci >= 0) {
@@ -493,9 +520,9 @@ RuntimeMetrics ServerlessRuntime::run(
           schedule_expire(pi, ci, now);
         }
         Job& job = jobs[static_cast<std::size_t>(ji)];
-        const auto& route = routes[static_cast<std::size_t>(job.user)];
-        if (job.pos + 1 < route.pool.size()) {
-          const double tr = route.transfer_in[job.pos + 1];
+        const Route& route = routes[static_cast<std::size_t>(job.route)];
+        if (job.pos + 1 < route.len) {
+          const double tr = stage_at(job, job.pos + 1).transfer_in;
           job.transfer_s += tr;
           push(now + tr, EventKind::kStageArrive, ji,
                static_cast<int>(job.pos + 1));
@@ -553,6 +580,10 @@ RuntimeMetrics ServerlessRuntime::run(
         outcome.cold_s = job.cold_s;
         outcome.transfer_s = job.transfer_s;
         outcome.proc_s = job.proc_s;
+        if (outcome.total_s() <=
+            routes[static_cast<std::size_t>(job.route)].deadline) {
+          ++totals.slo_met;
+        }
         metrics.requests.push_back(outcome);
         break;
       }

@@ -18,9 +18,11 @@
 // Determinism contract: events are ordered by (time, insertion sequence);
 // every stochastic draw (cold-start durations, keep-alive, processing
 // jitter) comes from a counter-keyed RNG stream, pure in (seed, entity ids).
-// The same seed therefore reproduces the identical event log across runs and
-// thread counts (the only parallelism is the pure per-user route-table
-// precompute).
+// The same seed therefore reproduces the identical event log across runs.
+//
+// Cost: a run is O(users + arrivals + events). Route tables are built only
+// for users that arrive in the window; the sorted arrival stream is merged
+// into the event queue by a cursor instead of being queued up front.
 #pragma once
 
 #include <cstdint>
@@ -57,10 +59,6 @@ struct ServerlessConfig {
   /// Resolution of the emitted cold-start-rate / pool-utilisation series
   /// (0 disables the series).
   int series_bins = 0;
-  /// Worker threads for the pure per-user route-table precompute
-  /// (1 = serial, 0 = hardware concurrency). Results are bit-identical for
-  /// any value.
-  int threads = 1;
   /// Observability sink: each run() emits a `serverless.run` span, the
   /// `socl.serverless.*` lifecycle counters, and per-request latency
   /// decomposition histograms (docs/METRICS.md). nullptr disables; the
@@ -95,6 +93,9 @@ struct RuntimeTotals {
   /// instances plus periodic warm-floor restoration.
   std::int64_t prewarm_boots = 0;
   std::int64_t expirations = 0;
+  /// Completed requests whose end-to-end latency met the user's deadline
+  /// D_h^max (RequestOutcome::total_s() <= deadline).
+  std::int64_t slo_met = 0;
   /// Containers warm for free when the window opened (steady-state pools or
   /// instances carried over from the previous slot).
   int initial_warm = 0;
@@ -130,13 +131,16 @@ class ServerlessRuntime {
   ServerlessRuntime(const core::Scenario& scenario, ServerlessConfig config);
 
   /// Simulates `arrivals` dispatched through `assignment` on the pools of
-  /// `placement` under `policy`.
+  /// `placement` under `policy`. `arrivals` must be sorted by time (as
+  /// generate_arrivals and split_arrivals return them); throws
+  /// std::invalid_argument otherwise, on an arrival user id outside the
+  /// scenario, or when any user's assignment uses an undeployed instance.
   ///
-  /// `carried` marks instances surviving from the previous slot (slot
-  /// simulator / online controller integration): carried instances open the
-  /// window with a free warm container, while instances absent from
-  /// `carried` must boot — churned deployments pay real cold starts. Pass
-  /// nullptr for a steady-state window (every pool opens warm per policy).
+  /// `carried` marks instances surviving from the previous slot (serving
+  /// loop integration): carried instances open the window with a free warm
+  /// container, while instances absent from `carried` must boot — churned
+  /// deployments pay real cold starts. Pass nullptr for a steady-state
+  /// window (every pool opens warm per policy).
   ///
   /// `event_log`, when non-null, receives every processed event in order.
   RuntimeMetrics run(const core::Placement& placement,

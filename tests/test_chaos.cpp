@@ -1,8 +1,8 @@
 // Tests for the chaos lane (src/serve/chaos.* + the serving loop's failure
 // threading): schedule determinism and bookkeeping invariants, the
 // connectivity guard (global and per-metro), the healthy warm-up window,
-// the failed-node cap, chaotic-day determinism across runs and DES thread
-// counts, cross-check cleanliness of every degraded slot, forced replans on
+// the failed-node cap, chaotic-day determinism across runs and solver
+// thread counts, cross-check cleanliness of every degraded slot, forced replans on
 // substrate changes, the chaos-off CSV identity, and the sharded re-price
 // on substrate change.
 #include "serve/chaos.h"
@@ -278,7 +278,7 @@ TEST(ServingLoopChaos, ChaoticDayDeterministicAcrossRunsAndThreadCounts) {
   EXPECT_GT(first.chaos_node_failures + first.chaos_link_failures, 0);
 
   ServingConfig threaded = chaotic_config(61);
-  threaded.runtime.threads = 3;
+  threaded.online.socl.combination.threads = 3;
   const ServingReport third = ServingLoop(threaded).run();
   expect_slots_equal(first.slots, third.slots);
 }

@@ -1,19 +1,24 @@
 // Tests for the serverless container-runtime simulator: arrival streams,
+// the event queue, golden digests of streams and event logs,
 // event-ordering determinism, cold-start accounting conservation, keep-alive
 // capacity reclamation, evaluator reproduction in the zero-overhead
 // configuration, and the scaling policies.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "core/partition.h"
 #include "core/preprovision.h"
 #include "core/routing.h"
 #include "net/topology.h"
 #include "serverless/arrivals.h"
+#include "serverless/event_queue.h"
 #include "serverless/policy.h"
 #include "serverless/runtime.h"
+#include "util/rng.h"
 
 namespace socl::serverless {
 namespace {
@@ -46,6 +51,36 @@ struct Fixture {
     assignment = *router.route_all(placement);
   }
 };
+
+/// FNV-1a over the little-endian bytes of 64-bit words (doubles by bit
+/// pattern), for golden digests of arrival streams and event logs.
+class Fnv1a {
+ public:
+  void add(std::uint64_t word) {
+    for (int i = 0; i < 8; ++i) {
+      hash_ ^= (word >> (8 * i)) & 0xFFu;
+      hash_ *= 0x100000001B3ULL;
+    }
+  }
+  void add(double value) { add(std::bit_cast<std::uint64_t>(value)); }
+  void add(std::int64_t value) { add(static_cast<std::uint64_t>(value)); }
+  void add(int value) { add(static_cast<std::int64_t>(value)); }
+  std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xCBF29CE484222325ULL;
+};
+
+std::uint64_t arrivals_digest(const std::vector<Arrival>& arrivals) {
+  Fnv1a fnv;
+  fnv.add(static_cast<std::uint64_t>(arrivals.size()));
+  for (const Arrival& arrival : arrivals) {
+    fnv.add(arrival.time_s);
+    fnv.add(arrival.user);
+    fnv.add(arrival.seq);
+  }
+  return fnv.value();
+}
 
 ArrivalConfig default_arrivals() {
   ArrivalConfig config;
@@ -94,6 +129,27 @@ TEST(Arrivals, PerUserStreamIndependentOfPopulation) {
   }
 }
 
+TEST(Arrivals, GoldenDigestsPinTheStream) {
+  // Golden values: any change to the per-user streams, the Poisson branches
+  // (mean 0 draws nothing, Knuth below 30, normal approximation from 30) or
+  // the merge order changes these digests. The digests depend on libm's
+  // exp/log being bit-reproducible, as every other seeded figure here does.
+  ArrivalConfig zero = default_arrivals();
+  zero.mean_rate = 0.0;
+  const auto none = generate_arrivals(9, zero);
+  EXPECT_TRUE(none.empty());
+  EXPECT_EQ(arrivals_digest(none), 0xA8C7F832281A39C5ULL);
+
+  const auto knuth = generate_arrivals(9, default_arrivals());
+  EXPECT_EQ(arrivals_digest(knuth), 0x9158DDE8670C88CULL);
+
+  ArrivalConfig heavy = default_arrivals();
+  heavy.mean_rate = 20.0;  // 50 per bin: the normal approximation
+  heavy.burstiness = 0.0;
+  const auto normal = generate_arrivals(5, heavy);
+  EXPECT_EQ(arrivals_digest(normal), 0x1EF311124B4B00A3ULL);
+}
+
 TEST(Arrivals, BurstinessWidensProfileSpread) {
   ArrivalConfig flat = default_arrivals();
   flat.burstiness = 0.0;
@@ -110,7 +166,38 @@ TEST(Arrivals, BurstinessWidensProfileSpread) {
   EXPECT_GT(bursty_spread, 0.0);
 }
 
-TEST(Runtime, EventLogIdenticalAcrossRunsAndThreadCounts) {
+TEST(EventQueue, PopsInTimeThenPushOrderWithSlotReuse) {
+  // Interleaved pushes and pops over coarse times (many ties) against a
+  // sorted reference; payloads carry their push order, so slot recycling
+  // mixing up payloads would show as well.
+  util::Rng rng(99);
+  EventQueue<std::uint64_t> queue;
+  std::vector<std::pair<double, std::uint64_t>> pending;
+  std::uint64_t pushed = 0;
+  double now = 0.0;
+  for (int step = 0; step < 20000; ++step) {
+    if (pending.empty() || rng.uniform() < 0.55) {
+      const double t = now + static_cast<double>(rng.uniform_int(0, 5));
+      if (rng.uniform() < 0.1) {  // reserved orders are skipped by pushes
+        EXPECT_EQ(queue.reserve_orders(3), pushed);
+        pushed += 3;
+      }
+      queue.push(t, pushed);
+      pending.emplace_back(t, pushed++);
+    } else {
+      const auto first = std::min_element(pending.begin(), pending.end());
+      ASSERT_FALSE(queue.empty());
+      EXPECT_EQ(queue.top_time(), first->first);
+      EXPECT_EQ(queue.top_order(), first->second);
+      EXPECT_EQ(queue.pop(), first->second);
+      now = first->first;
+      pending.erase(first);
+    }
+    ASSERT_EQ(queue.size(), pending.size());
+  }
+}
+
+TEST(Runtime, EventLogIdenticalAcrossRuns) {
   const Fixture fx(21);
   const auto arrivals = generate_arrivals(fx.scenario.num_users(),
                                           default_arrivals());
@@ -120,10 +207,8 @@ TEST(Runtime, EventLogIdenticalAcrossRunsAndThreadCounts) {
 
   std::vector<std::vector<EventRecord>> logs;
   std::vector<RuntimeMetrics> runs;
-  for (const int threads : {1, 1, 4, 0}) {
-    ServerlessConfig c = config;
-    c.threads = threads;
-    const ServerlessRuntime runtime(fx.scenario, c);
+  for (int run = 0; run < 3; ++run) {
+    const ServerlessRuntime runtime(fx.scenario, config);
     std::vector<EventRecord> log;
     runs.push_back(runtime.run(fx.placement, fx.assignment, arrivals,
                                ReactivePolicy(), 77, nullptr, &log));
@@ -139,6 +224,134 @@ TEST(Runtime, EventLogIdenticalAcrossRunsAndThreadCounts) {
                        runs[i].requests[r].cold_s);
     }
   }
+}
+
+TEST(Runtime, GoldenEventLogAndOutcomeDigest) {
+  // Jittered processing, log-normal keep-alive and a carried placement that
+  // drops half the instances (so rollout boots, expiries, ticks and queueing
+  // all occur). The digest covers every event record, every outcome field,
+  // every totals field and the series; it must not move when the event
+  // queue or the route tables change shape.
+  const Fixture fx(21);
+  ArrivalConfig trace = default_arrivals();
+  trace.mean_rate = 0.4;
+  const auto arrivals = generate_arrivals(fx.scenario.num_users(), trace);
+  ServerlessConfig config;
+  config.proc_jitter_sigma = 0.1;
+  config.keep_alive_s = 2.0;
+  config.keep_alive_sigma = 0.2;
+  config.concurrency = 2;
+  config.max_containers_per_pool = 3;
+  config.series_bins = 5;
+  core::Placement carried(fx.scenario);
+  int instance = 0;
+  for (MsId m = 0; m < fx.scenario.num_microservices(); ++m) {
+    for (NodeId k = 0; k < fx.scenario.num_nodes(); ++k) {
+      if (fx.placement.deployed(m, k) && instance++ % 2 == 0) {
+        carried.deploy(m, k);
+      }
+    }
+  }
+  const ServerlessRuntime runtime(fx.scenario, config);
+  std::vector<EventRecord> log;
+  const auto metrics =
+      runtime.run(fx.placement, fx.assignment, arrivals,
+                  SoCLPrewarmPolicy(fx.scenario), 77, &carried, &log);
+
+  Fnv1a fnv;
+  fnv.add(static_cast<std::uint64_t>(log.size()));
+  for (const EventRecord& e : log) {
+    fnv.add(e.time_s);
+    fnv.add(e.kind);
+    fnv.add(e.a);
+    fnv.add(e.b);
+    fnv.add(e.c);
+  }
+  fnv.add(static_cast<std::uint64_t>(metrics.requests.size()));
+  for (const RequestOutcome& r : metrics.requests) {
+    fnv.add(r.user);
+    fnv.add(r.seq);
+    fnv.add(r.arrival_s);
+    fnv.add(r.finish_s);
+    fnv.add(r.queue_s);
+    fnv.add(r.cold_s);
+    fnv.add(r.transfer_s);
+    fnv.add(r.proc_s);
+  }
+  const RuntimeTotals& t = metrics.totals;
+  for (const std::int64_t v :
+       {t.invocations, t.warm_hits, t.cold_serves, t.queue_serves,
+        t.demand_boots, t.prewarm_boots, t.expirations}) {
+    fnv.add(v);
+  }
+  fnv.add(t.initial_warm);
+  fnv.add(t.peak_live);
+  for (const double v : metrics.cold_rate) fnv.add(v);
+  for (const double v : metrics.pool_utilisation) fnv.add(v);
+  fnv.add(metrics.series_bin_s);
+
+  // The fixture must exercise what it claims to.
+  EXPECT_EQ(metrics.requests.size(), arrivals.size());
+  EXPECT_GT(log.size(), 1000u);
+  EXPECT_GT(t.prewarm_boots, 0);
+  EXPECT_GT(t.demand_boots, 0);
+  EXPECT_GT(t.expirations, 0);
+  EXPECT_GT(t.queue_serves, 0);
+  EXPECT_GT(t.cold_serves, 0);
+  EXPECT_EQ(fnv.value(), 0xD34D24428317E58CULL) << std::hex << fnv.value();
+}
+
+TEST(Runtime, UndeployedInstanceRejectedEvenWithoutArrivals) {
+  // The undeployed-instance check covers every user's assignment, not only
+  // the users that arrive in the window.
+  const Fixture fx(29);
+  const int idle = fx.scenario.num_users() - 1;
+  const auto& request = fx.scenario.requests()[static_cast<std::size_t>(idle)];
+  const MsId m = request.chain[0];
+  const NodeId k = fx.assignment.node_for(idle, 0);
+  core::Placement holed = fx.placement;
+  holed.remove(m, k);
+  std::vector<Arrival> arrivals;
+  for (int u = 0; u < fx.scenario.num_users(); ++u) {
+    if (u == idle) continue;
+    bool uses = false;
+    const auto route = fx.assignment.user_route(u);
+    const auto& chain = fx.scenario.requests()[static_cast<std::size_t>(u)].chain;
+    for (std::size_t p = 0; p < chain.size(); ++p) {
+      uses = uses || (chain[p] == m && route[p] == k);
+    }
+    if (!uses) arrivals.push_back({0.1 * (u + 1), u, 0});
+  }
+  ASSERT_FALSE(arrivals.empty());
+  const ServerlessRuntime runtime(fx.scenario, ServerlessConfig{});
+  // Without the idle user's hole the same arrivals run cleanly.
+  EXPECT_NO_THROW(runtime.run(fx.placement, fx.assignment, arrivals,
+                              ReactivePolicy(), 5));
+  EXPECT_THROW(runtime.run(holed, fx.assignment, arrivals, ReactivePolicy(), 5),
+               std::invalid_argument);
+  EXPECT_THROW(runtime.run(holed, fx.assignment, {}, ReactivePolicy(), 5),
+               std::invalid_argument);
+}
+
+TEST(Runtime, SeriesIntegrationCrossesRoundedBinEdges) {
+  // Horizon 0.37 s over 4 bins: the third bin edge 3 * (0.37 / 4) divided
+  // by the bin width rounds to just below 3, so a walk that re-derives the
+  // bin from the edge time stays in bin 2 forever.
+  const Fixture fx(30);
+  ASSERT_LT(std::floor(3.0 * (0.37 / 4.0) / (0.37 / 4.0)), 3.0);
+  const std::vector<Arrival> arrivals = {{0.05, 0, 0}, {0.37, 1, 0}};
+  ServerlessConfig config;
+  config.series_bins = 4;
+  const ServerlessRuntime runtime(fx.scenario, config);
+  const auto metrics = runtime.run(fx.placement, fx.assignment, arrivals,
+                                   FixedPoolPolicy(1), 3);
+  ASSERT_EQ(metrics.requests.size(), 2u);
+  ASSERT_EQ(metrics.pool_utilisation.size(), 4u);
+  for (const double u : metrics.pool_utilisation) {
+    EXPECT_GE(u, 0.0);
+    EXPECT_LE(u, 1.0);
+  }
+  EXPECT_GT(metrics.pool_utilisation[0], 0.0);
 }
 
 TEST(Runtime, ColdStartAccountingConserved) {
@@ -164,6 +377,14 @@ TEST(Runtime, ColdStartAccountingConserved) {
             metrics.totals.warm_hits + metrics.totals.cold_serves +
                 metrics.totals.queue_serves);
   EXPECT_GT(metrics.totals.cold_serves, 0);  // reactive: first hits are cold
+
+  // SLO accounting streams the same deadline test a caller would re-scan.
+  std::int64_t slo_met = 0;
+  for (const auto& r : metrics.requests) {
+    if (r.total_s() <= fx.scenario.request(r.user).deadline) ++slo_met;
+  }
+  EXPECT_EQ(metrics.totals.slo_met, slo_met);
+  EXPECT_GT(slo_met, 0);
 
   // Per-request latency decomposition is exact.
   for (const auto& r : metrics.requests) {
@@ -376,6 +597,20 @@ TEST(Policy, SoclPrewarmQuotaStaysInsidePartitionGroups) {
       }
     }
   }
+}
+
+TEST(Runtime, RejectsMalformedArrivals) {
+  // The arrival cursor relies on a time-sorted stream.
+  const Fixture fx(28);
+  const ServerlessRuntime runtime(fx.scenario, ServerlessConfig{});
+  const std::vector<Arrival> unsorted = {{1.0, 0, 0}, {0.5, 1, 0}};
+  EXPECT_THROW(runtime.run(fx.placement, fx.assignment, unsorted,
+                           ReactivePolicy(), 1),
+               std::invalid_argument);
+  const std::vector<Arrival> stranger = {{1.0, fx.scenario.num_users(), 0}};
+  EXPECT_THROW(runtime.run(fx.placement, fx.assignment, stranger,
+                           ReactivePolicy(), 1),
+               std::invalid_argument);
 }
 
 TEST(Runtime, RejectsInvalidConfig) {

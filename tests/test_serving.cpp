@@ -1,9 +1,9 @@
 // Tests for the online serving loop (src/serve/): day completion under
-// mobility + drift, bit-identical determinism across runs and DES thread
+// mobility + drift, bit-identical determinism across runs and solver thread
 // counts, the three-tier control decision (carried / incremental / replan),
 // the incremental path's "only moved classes recompute" contract, the
 // cross-check lane (full re-route equality + validator cleanliness every
-// slot), and the CSV series.
+// slot), the CSV series, and the per-slot serverless spans.
 #include "serve/serving_loop.h"
 
 #include <gtest/gtest.h>
@@ -14,6 +14,8 @@
 #include <sstream>
 #include <string>
 #include <vector>
+
+#include "obs/recorder.h"
 
 namespace socl::serve {
 namespace {
@@ -89,9 +91,38 @@ TEST(ServingLoop, DeterministicAcrossRunsAndThreadCounts) {
   expect_slots_equal(first.slots, second.slots);
 
   ServingConfig threaded = small_config(23);
-  threaded.runtime.threads = 3;
+  threaded.online.socl.combination.threads = 3;
   const ServingReport third = ServingLoop(threaded).run();
   expect_slots_equal(first.slots, third.slots);
+}
+
+TEST(ServingLoop, EachSlotTracesArrivalGenerationInsideTheSlot) {
+  obs::Recorder recorder;
+  ServingConfig config = small_config(29);
+  config.slots = 4;
+  config.sink = &recorder;
+  const ServingReport report = ServingLoop(config).run();
+  std::vector<obs::TraceEvent> slots, arrivals;
+  for (const obs::TraceEvent& event : recorder.trace().events()) {
+    const std::string name = event.name;
+    if (name == "serve.slot") slots.push_back(event);
+    if (name == "serverless.arrivals") {
+      EXPECT_EQ(event.phase, obs::Phase::kServerless);
+      arrivals.push_back(event);
+    }
+  }
+  ASSERT_EQ(slots.size(), 4u);
+  ASSERT_EQ(arrivals.size(), slots.size());
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    EXPECT_GE(arrivals[i].start_us, slots[i].start_us);
+    EXPECT_LE(arrivals[i].start_us + arrivals[i].dur_us,
+              slots[i].start_us + slots[i].dur_us);
+  }
+  std::int64_t requests = 0;
+  for (const SlotReport& slot : report.slots) {
+    requests += slot.requests_completed;
+  }
+  EXPECT_GT(requests, 0);
 }
 
 TEST(ServingLoop, CrossCheckLaneIsCleanEverySlot) {
@@ -359,7 +390,6 @@ TEST(ServingLoop, ShardedDayIsDeterministicAcrossRunsAndThreadCounts) {
   expect_shard_fields_equal(first.slots, second.slots);
 
   ServingConfig threaded = config;
-  threaded.runtime.threads = 3;
   threaded.shard.threads = 2;
   threaded.shard.shard_threads = 1;
   const ServingReport third = ServingLoop(threaded).run();
