@@ -15,6 +15,17 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+/// Parallel-stage slack: the batched ζ-ordered merges run while cost >=
+/// kParallelSlack · K^max, and the exact-scored serial stage closes the
+/// remaining budget overshoot (suspending the δ stopping rule while over
+/// budget). Batch merges near the budget boundary commit avoidable latency
+/// damage that the serial stage's exact per-move scoring avoids. 1.0 would
+/// reproduce the paper's literal loop condition.
+constexpr double kParallelSlack = 1.6;
+
+/// Relocation polish budget: at most 4 · |M| · kRelocationSweeps moves.
+constexpr int kRelocationSweeps = 3;
+
 }  // namespace
 
 Combiner::Combiner(const Scenario& scenario, const Partitioning& partitioning,
@@ -314,8 +325,7 @@ Placement Combiner::run(const Preprovisioning& pre, CombinationStats* stats) {
   if (config_.use_parallel_stage) {
     const obs::ScopedSpan span(config_.sink, obs::Phase::kCombination,
                                "combination.parallel_stage");
-    const double parallel_target =
-        budget * std::max(1.0, config_.parallel_slack);
+    const double parallel_target = budget * kParallelSlack;
     while (placement.deployment_cost(catalog) >= parallel_target) {
       auto losses = latency_losses(placement);
       if (losses.empty()) break;  // nothing combinable; budget unreachable
@@ -600,8 +610,7 @@ void Combiner::polish_descend(Placement& placement) const {
                placement.storage_used(catalog, q) + 1e-9;
   };
 
-  const int max_moves = 4 * scenario_->num_microservices() *
-                        std::max(1, config_.relocation_sweeps);
+  const int max_moves = 4 * scenario_->num_microservices() * kRelocationSweeps;
   double current = serial_objective(placement);
   for (int moves_made = 0; moves_made < max_moves; ++moves_made) {
     // Enumerate feasible single moves and screen with the cheap estimate.

@@ -32,11 +32,6 @@ namespace socl::core {
 struct CombinationConfig {
   /// Fraction of the latency-loss list combined per parallel round (ω).
   double omega = 0.2;
-  /// The parallel stage runs while cost >= parallel_slack · K^max; the
-  /// remaining budget overshoot is closed by the serial stage, whose exact
-  /// per-move scoring picks far better final merges than the batched ζ
-  /// heuristic. 1.0 reproduces the paper's literal loop condition.
-  double parallel_slack = 1.6;
   /// Disturbance factor Θ: tolerated objective rise per serial move.
   double theta = 25.0;
   /// Worker threads for the parallel stage and candidate scoring
@@ -60,7 +55,6 @@ struct CombinationConfig {
   /// implementation extension documented in DESIGN.md; ablated in the
   /// bench_ablation harness.
   bool use_relocation = true;
-  int relocation_sweeps = 3;
   /// Multi-start: additionally descend from the dense placement (every
   /// demand node hosts its services) with the screened move engine and keep
   /// the better basin. Costs roughly one extra descent; still far cheaper

@@ -43,14 +43,11 @@ void Scenario::refresh_demand_indices() {
   const auto nodes = static_cast<std::size_t>(num_nodes());
   const auto services = static_cast<std::size_t>(num_microservices());
 
-  users_at_node_.assign(nodes, {});
   demand_nodes_.assign(services, {});
   demand_count_.assign(services * nodes, 0);
   demand_data_.assign(services * nodes, 0.0);
 
   for (const auto& request : requests_) {
-    users_at_node_[static_cast<std::size_t>(request.attach_node)].push_back(
-        request.id);
     for (MsId m : request.chain) {
       const std::size_t idx =
           static_cast<std::size_t>(m) * nodes +

@@ -2,7 +2,6 @@
 // the application catalog, the user requests, and the optimization constants
 // of Section III (λ, K^max, per-user D_h^max). Precomputes the routing
 // tables, virtual links, and the demand indices every SoCL stage consumes:
-//   U_k        users attached to node k
 //   V(m_i)     nodes hosting at least one request for m_i
 //   |U_vk^mi|  users at node k whose chain contains m_i
 //   r_i(k)     aggregate inbound data volume for m_i at node k (the r_i of
@@ -80,11 +79,6 @@ class Scenario {
   /// may traverse links the new substrate no longer has.
   std::uint64_t substrate_epoch() const { return substrate_epoch_; }
 
-  /// U_k: ids of users attached to node k.
-  const std::vector<int>& users_at(NodeId k) const {
-    return users_at_node_.at(static_cast<std::size_t>(k));
-  }
-
   /// V(m_i): nodes with at least one attached user requesting m_i.
   const std::vector<NodeId>& demand_nodes(MsId m) const {
     return demand_nodes_.at(static_cast<std::size_t>(m));
@@ -108,10 +102,6 @@ class Scenario {
   /// Inbound data volume of m at a specific request (0 if not in chain).
   double request_inbound_data(const workload::UserRequest& request,
                               MsId m) const;
-
-  /// Rebuilds the demand indices after attach nodes changed (mobility); the
-  /// network and request chains must be unchanged.
-  void refresh_demand_indices();
 
   /// Replaces the requests (e.g. a new simulation slot) and reindexes.
   /// Skips the reindex and the workload-epoch bump when every request's
@@ -140,6 +130,10 @@ class Scenario {
   }
 
  private:
+  /// Rebuilds the demand indices and the request classes from requests_
+  /// and bumps the workload epoch.
+  void refresh_demand_indices();
+
   /// True when `requests` matches requests_ element-wise on (id, demand
   /// tuple) — the condition under which every derived index stays valid.
   bool workload_unchanged(
@@ -153,7 +147,6 @@ class Scenario {
   std::unique_ptr<net::ShortestPaths> paths_;
   std::unique_ptr<net::VirtualLinks> vlinks_;
 
-  std::vector<std::vector<int>> users_at_node_;
   std::vector<std::vector<NodeId>> demand_nodes_;
   std::vector<int> demand_count_;
   std::vector<double> demand_data_;

@@ -293,7 +293,6 @@ void ServingLoop::rebuild_sharded() {
   // repriced = true — the re-price the chaos lane requires on every
   // substrate change.
   shard::ShardedParams sp = config_.shard;
-  sp.solver = config_.online.socl;
   sp.online = config_.online;
   sp.sink = config_.sink;
   sharded_ = std::make_unique<shard::ShardedSoCL>(
@@ -394,8 +393,13 @@ void ServingLoop::rebuild_cache_from_assignment() {
   }
 }
 
-void ServingLoop::expand_assignment() {
+void ServingLoop::adopt_entries(std::vector<CacheEntry> next) {
   const workload::RequestClasses& classes = scenario_.classes();
+  entries_ = std::move(next);
+  cache_index_.clear();
+  for (int c = 0; c < classes.num_classes(); ++c) {
+    cache_index_[classes.cls(c).fingerprint].push_back(c);
+  }
   assignment_ = core::Assignment(scenario_);
   for (int c = 0; c < classes.num_classes(); ++c) {
     const std::vector<net::NodeId>& route =
@@ -534,12 +538,7 @@ SlotReport ServingLoop::step() {
       next.push_back(std::move(entry));
     }
     if (routable) {
-      entries_ = std::move(next);
-      cache_index_.clear();
-      for (int c = 0; c < classes.num_classes(); ++c) {
-        cache_index_[classes.cls(c).fingerprint].push_back(c);
-      }
-      expand_assignment();
+      adopt_entries(std::move(next));
       report.mode = moved == 0 ? SlotMode::kCarried : SlotMode::kIncremental;
       report.classes_recomputed = moved;
       done = true;
@@ -570,7 +569,8 @@ SlotReport ServingLoop::step() {
     }
     placement_ = shard_step.solution.placement;
     const core::ChainRouter router(scenario_);
-    assignment_ = core::Assignment(scenario_);
+    std::vector<CacheEntry> next;
+    next.reserve(static_cast<std::size_t>(classes.num_classes()));
     for (int c = 0; c < classes.num_classes(); ++c) {
       const workload::UserRequest& rep =
           scenario_.request(classes.cls(c).representative);
@@ -580,11 +580,13 @@ SlotReport ServingLoop::step() {
             "ServingLoop: merged sharded placement unroutable (slot " +
             std::to_string(slot_) + ")");
       }
-      for (const int member : classes.cls(c).members) {
-        assignment_.set_user_route(member, routed->nodes);
-      }
+      CacheEntry entry;
+      entry.rep = rep;
+      entry.latency = router.completion_time(rep, routed->nodes);
+      entry.route = std::move(routed->nodes);
+      next.push_back(std::move(entry));
     }
-    rebuild_cache_from_assignment();
+    adopt_entries(std::move(next));
     report.mode = SlotMode::kReplan;
     report.classes_recomputed = classes.num_classes();
     done = true;

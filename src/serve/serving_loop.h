@@ -95,7 +95,7 @@ struct ServingConfig {
   /// windows. Requires metros >= 1. With one metro the day is byte-identical
   /// to the unsharded loop (test_serving pins it via CSV diff).
   bool sharded = false;
-  /// Coordinator knobs for sharded mode. `solver`, `online` and `sink` are
+  /// Coordinator knobs for sharded mode. `online` and `sink` are
   /// overridden from this config (single source of truth).
   shard::ShardedParams shard;
   /// Aggregated users actually served (replicate_requests over the template
@@ -288,7 +288,9 @@ class ServingLoop {
   /// Fingerprint-bucketed exact lookup into the previous slot's cache.
   const CacheEntry* find_cached(const workload::UserRequest& rep) const;
   void rebuild_cache_from_assignment();
-  void expand_assignment();
+  /// Installs one cache entry per class (in class order), re-indexes the
+  /// cache and expands the class routes into the per-user assignment.
+  void adopt_entries(std::vector<CacheEntry> next);
   void emit_metrics(const SlotReport& report, const SlotChaos* chaos_slot);
   double slot_intensity(int slot) const;
 

@@ -128,8 +128,7 @@ ServerlessRuntime::ServerlessRuntime(const core::Scenario& scenario,
     throw std::invalid_argument(
         "ServerlessRuntime: concurrency and pool capacity must be >= 1");
   }
-  if (config_.cold_start_mean_s < 0.0 || config_.keep_alive_s < 0.0 ||
-      config_.series_bins < 0) {
+  if (config_.cold_start_mean_s < 0.0 || config_.keep_alive_s < 0.0) {
     throw std::invalid_argument("ServerlessRuntime: negative parameter");
   }
 }
@@ -252,46 +251,6 @@ RuntimeMetrics ServerlessRuntime::run(
                         int c = -1) { eq.push(t, Event{a, b, c, kind}); };
 
   int live_total = 0;
-  std::int64_t live_slots = 0;  ///< live containers × concurrency
-  std::int64_t busy_total = 0;
-
-  // ---- Time series ----
-  const double horizon =
-      arrivals.empty() ? 0.0 : arrivals[arrivals.size() - 1].time_s;
-  const bool series = config_.series_bins > 0 && horizon > 0.0;
-  const double bin_s =
-      series ? horizon / static_cast<double>(config_.series_bins) : 0.0;
-  std::vector<double> busy_time, live_time;
-  std::vector<std::int64_t> bin_invocations, bin_cold;
-  if (series) {
-    const auto n = static_cast<std::size_t>(config_.series_bins);
-    busy_time.assign(n, 0.0);
-    live_time.assign(n, 0.0);
-    bin_invocations.assign(n, 0);
-    bin_cold.assign(n, 0);
-  }
-  const auto series_bin = [&](double t) {
-    return std::min<std::size_t>(
-        static_cast<std::size_t>(std::max(0.0, t / bin_s)),
-        static_cast<std::size_t>(config_.series_bins) - 1);
-  };
-  const auto integrate = [&](double from, double to) {
-    if (!series || to <= from) return;
-    // Split the interval across bins; time past the horizon lands in the
-    // last bin. Walk bins by index: when rounding puts `from` on a bin's
-    // upper edge, series_bin(from) names the bin it just left, and
-    // recomputing it from `from` would never advance.
-    for (std::size_t b = series_bin(from); from < to; ++b) {
-      const double bin_end =
-          b + 1 == static_cast<std::size_t>(config_.series_bins)
-              ? to
-              : std::min(to, static_cast<double>(b + 1) * bin_s);
-      const double dt = bin_end - from;
-      busy_time[b] += static_cast<double>(busy_total) * dt;
-      live_time[b] += static_cast<double>(live_slots) * dt;
-      from = bin_end;
-    }
-  };
 
   // ---- Container lifecycle helpers ----
   const auto schedule_expire = [&](int pi, int ci, double now) {
@@ -324,7 +283,6 @@ RuntimeMetrics ServerlessRuntime::run(
     ++pool.live;
     ++pool.starting;
     ++live_total;
-    live_slots += concurrency;
     totals.peak_live = std::max(totals.peak_live, live_total);
     ++(prewarm ? totals.prewarm_boots : totals.demand_boots);
     push(c.ready_at, EventKind::kContainerReady, pi, ci);
@@ -338,7 +296,6 @@ RuntimeMetrics ServerlessRuntime::run(
     pool.containers.push_back(Container{});
     ++pool.live;
     ++live_total;
-    live_slots += concurrency;
     totals.peak_live = std::max(totals.peak_live, live_total);
     ++totals.initial_warm;
     schedule_expire(pi, ci, 0.0);
@@ -351,10 +308,8 @@ RuntimeMetrics ServerlessRuntime::run(
     if (c.busy == 0) ++c.gen;  // cancel the idle-period expiry
     ++c.busy;
     ++pool.busy_slots;
-    ++busy_total;
     Job& job = jobs[static_cast<std::size_t>(ji)];
     ++totals.invocations;
-    bool cold_serve = false;
     if (immediate) {
       ++totals.warm_hits;
     } else {
@@ -363,13 +318,7 @@ RuntimeMetrics ServerlessRuntime::run(
           c.ready_at > since ? std::min(wait, c.ready_at - since) : 0.0;
       job.cold_s += cold_part;
       job.queue_s += wait - cold_part;
-      cold_serve = cold_part > 0.0;
-      ++(cold_serve ? totals.cold_serves : totals.queue_serves);
-    }
-    if (series) {
-      const std::size_t b = series_bin(now);
-      ++bin_invocations[b];
-      if (cold_serve) ++bin_cold[b];
+      ++(cold_part > 0.0 ? totals.cold_serves : totals.queue_serves);
     }
     double proc = stage_at(job, job.pos).proc_base;
     if (config_.proc_jitter_sigma > 0.0) {
@@ -433,6 +382,8 @@ RuntimeMetrics ServerlessRuntime::run(
   // and the loop merges the sorted stream with the queue by (time, order),
   // so every event is processed exactly where a queued arrival would be.
   const std::uint64_t arrival_order = eq.reserve_orders(arrivals.size());
+  const double horizon =
+      arrivals.empty() ? 0.0 : arrivals[arrivals.size() - 1].time_s;
   if (config_.policy_tick_s > 0.0) {
     for (double t = config_.policy_tick_s; t <= horizon;
          t += config_.policy_tick_s) {
@@ -441,7 +392,6 @@ RuntimeMetrics ServerlessRuntime::run(
   }
 
   // ---- Event loop ----
-  double t_prev = 0.0;
   std::size_t next_arrival = 0;
   for (;;) {
     double now;
@@ -459,8 +409,6 @@ RuntimeMetrics ServerlessRuntime::run(
     } else {
       break;
     }
-    integrate(t_prev, now);
-    t_prev = now;
     if (event_log != nullptr) {
       event_log->push_back(EventRecord{now, static_cast<int>(event.kind),
                                        event.a, event.b, event.c});
@@ -514,7 +462,6 @@ RuntimeMetrics ServerlessRuntime::run(
         Container& c = pool.containers[static_cast<std::size_t>(ci)];
         --c.busy;
         --pool.busy_slots;
-        --busy_total;
         drain(pi, ci, now);
         if (c.busy == 0 && c.state == ContainerState::kWarm) {
           schedule_expire(pi, ci, now);
@@ -553,7 +500,6 @@ RuntimeMetrics ServerlessRuntime::run(
           c.state = ContainerState::kExpired;
           --pool.live;
           --live_total;
-          live_slots -= concurrency;
           ++totals.expirations;
         }
         break;
@@ -587,22 +533,6 @@ RuntimeMetrics ServerlessRuntime::run(
         metrics.requests.push_back(outcome);
         break;
       }
-    }
-  }
-
-  if (series) {
-    metrics.series_bin_s = bin_s;
-    metrics.cold_rate.resize(static_cast<std::size_t>(config_.series_bins));
-    metrics.pool_utilisation.resize(
-        static_cast<std::size_t>(config_.series_bins));
-    for (std::size_t b = 0; b < metrics.cold_rate.size(); ++b) {
-      metrics.cold_rate[b] =
-          bin_invocations[b] > 0
-              ? static_cast<double>(bin_cold[b]) /
-                    static_cast<double>(bin_invocations[b])
-              : 0.0;
-      metrics.pool_utilisation[b] =
-          live_time[b] > 0.0 ? busy_time[b] / live_time[b] : 0.0;
     }
   }
 

@@ -56,9 +56,6 @@ struct ServerlessConfig {
   double proc_jitter_sigma = 0.0;
   /// Autoscaling decision period (0 disables the periodic policy tick).
   double policy_tick_s = 1.0;
-  /// Resolution of the emitted cold-start-rate / pool-utilisation series
-  /// (0 disables the series).
-  int series_bins = 0;
   /// Observability sink: each run() emits a `serverless.run` span, the
   /// `socl.serverless.*` lifecycle counters, and per-request latency
   /// decomposition histograms (docs/METRICS.md). nullptr disables; the
@@ -116,11 +113,6 @@ struct RuntimeMetrics {
   /// Completion-ordered per-request outcomes.
   std::vector<RequestOutcome> requests;
   RuntimeTotals totals;
-  /// Per-bin cold-serve fraction of invocations (series_bins > 0).
-  std::vector<double> cold_rate;
-  /// Per-bin busy-slot share of live capacity (series_bins > 0).
-  std::vector<double> pool_utilisation;
-  double series_bin_s = 0.0;
 
   double mean_latency_s() const;
   double mean_cold_s() const;

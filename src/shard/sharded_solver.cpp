@@ -136,7 +136,7 @@ void ShardedSoCL::solve_all_shards(const core::ProblemConstants& base,
   }
   solve_s.assign(shards, 0.0);
 
-  core::SoCLParams shard_params = params_.solver;
+  core::SoCLParams shard_params = params_.online.socl;
   shard_params.sink = nullptr;  // coordination metrics are emitted once
   if (params_.shard_threads > 0) {
     shard_params.combination.threads = params_.shard_threads;
@@ -343,7 +343,6 @@ ShardedSolution ShardedSoCL::solve() {
 void ShardedSoCL::reseed_rungs() {
   if (online_rungs_.empty()) {
     core::OnlineParams rung = params_.online;
-    rung.socl = params_.solver;
     rung.socl.sink = nullptr;  // coordination metrics are emitted once
     if (params_.shard_threads > 0) {
       rung.socl.combination.threads = params_.shard_threads;

@@ -113,9 +113,6 @@ std::vector<double> negotiate_quotas(double budget,
                                      std::span<const double> demands);
 
 struct ShardedParams {
-  /// Per-shard solver configuration. The per-shard sink is always forced to
-  /// null — coordination metrics are emitted once, by the coordinator.
-  core::SoCLParams solver;
   /// Iteration budget for the price search. Bracketing the clearing price
   /// takes ~log_4(μ*) iterations and each bisection halves the bracket, so
   /// 24 covers clearing prices up to ~10^6 with a fine final bracket.
@@ -126,7 +123,8 @@ struct ShardedParams {
   double initial_step = 0.75;
   /// Worker threads fanning shard solves out (0 = hardware concurrency).
   int threads = 0;
-  /// Per-shard combination threads override (0 = keep solver.combination).
+  /// Per-shard combination threads override (0 = keep
+  /// online.socl.combination).
   /// Many-shard sweeps set a small value to bound thread oversubscription;
   /// results never depend on it (deterministic parallel scoring).
   int shard_threads = 0;
@@ -141,8 +139,10 @@ struct ShardedParams {
   /// each one re-seeds the rungs with the accepted per-shard placements.
   /// With one shard this makes the serving ladder bit-identical to driving
   /// OnlineSoCL directly (the serve-loop identity lane of test_serving).
-  /// Its `socl` member is ignored: `solver` above is the single source of
-  /// per-shard solver configuration.
+  /// Its `socl` member is the per-shard solver configuration of both the
+  /// cold coordinated solves and the rungs; the per-shard sink is always
+  /// forced to null — coordination metrics are emitted once, by the
+  /// coordinator.
   core::OnlineParams online;
   /// `socl.shard.*` metrics (docs/METRICS.md); nullptr disables.
   obs::ObsSink* sink = nullptr;

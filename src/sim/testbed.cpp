@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "util/thread_pool.h"
-
 namespace socl::sim {
 
 using core::NodeId;
@@ -61,13 +59,11 @@ std::vector<LatencySample> TestbedEmulator::measure(
   const auto util = utilisation(assignment);
   const std::size_t num_users = requests.size();
 
-  // Round-major sample layout (samples[round * U + u]), matching the
-  // historical serial dispatch order. Each user owns a counter-based RNG
-  // stream pure in (seed, user index), so the per-user fan-out below
-  // produces bit-identical samples for any thread count.
+  // Round-major sample layout (samples[round * U + u]). Each user draws its
+  // jitter from its own RNG stream, pure in (seed, user index).
   std::vector<LatencySample> samples(static_cast<std::size_t>(rounds) *
                                      num_users);
-  const auto measure_user = [&](std::size_t u) {
+  for (std::size_t u = 0; u < num_users; ++u) {
     const auto& request = requests[u];
     // Transfer legs and queue-inflated processing bases are deterministic;
     // only the jitter is redrawn per round.
@@ -105,14 +101,6 @@ std::vector<LatencySample> TestbedEmulator::measure(
       samples[static_cast<std::size_t>(round) * num_users + u] =
           LatencySample{request.id, ms};
     }
-  };
-
-  if (config_.threads != 1 && num_users > 1) {
-    util::ThreadPool pool(static_cast<std::size_t>(
-        config_.threads > 0 ? config_.threads : 0));
-    pool.parallel_for(num_users, measure_user);
-  } else {
-    for (std::size_t u = 0; u < num_users; ++u) measure_user(u);
   }
   return samples;
 }

@@ -38,10 +38,6 @@ struct TestbedConfig {
   /// The default puts moderately loaded nodes near ~30% utilisation, so
   /// capacity-blind routing that concentrates traffic visibly queues.
   double arrival_rate = 0.03;
-  /// Worker threads for measure() (1 = serial, 0 = hardware concurrency).
-  /// Samples are bit-identical for any value: every user draws jitter from
-  /// its own counter-based RNG stream, so the fan-out never reorders draws.
-  int threads = 1;
 };
 
 /// Per-request latency sample in milliseconds.

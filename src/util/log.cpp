@@ -1,36 +1,12 @@
 #include "util/log.h"
 
-#include <atomic>
 #include <cstdio>
 
 namespace socl::util {
-namespace {
-
-std::atomic<LogLevel> g_level{LogLevel::kInfo};
-
-const char* level_name(LogLevel level) {
-  switch (level) {
-    case LogLevel::kDebug:
-      return "DEBUG";
-    case LogLevel::kInfo:
-      return "INFO";
-    case LogLevel::kWarn:
-      return "WARN";
-    case LogLevel::kError:
-      return "ERROR";
-  }
-  return "?";
-}
-
-}  // namespace
-
-void set_log_level(LogLevel level) { g_level.store(level); }
-
-LogLevel log_level() { return g_level.load(); }
 
 void log_message(LogLevel level, const std::string& message) {
-  if (level < g_level.load()) return;
-  std::fprintf(stderr, "[%s] %s\n", level_name(level), message.c_str());
+  std::fprintf(stderr, "[%s] %s\n", level == LogLevel::kWarn ? "WARN" : "INFO",
+               message.c_str());
 }
 
 }  // namespace socl::util

@@ -1,5 +1,6 @@
-// Minimal leveled logger. Benchmarks run at Info; tests at Warn to keep
-// ctest output clean. Not a general-purpose logging framework by design.
+// Minimal logger: each call writes one `[LEVEL] message` line to stderr.
+// There is no level threshold; benchmarks and tests print every line. Not
+// a general-purpose logging framework by design.
 #pragma once
 
 #include <sstream>
@@ -7,14 +8,10 @@
 
 namespace socl::util {
 
-enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3 };
+enum class LogLevel { kInfo, kWarn };
 
-/// Global minimum level; messages below it are dropped.
-void set_log_level(LogLevel level);
-LogLevel log_level();
-
-/// Emits a single line `[LEVEL] message` to stderr if level passes the
-/// threshold. Thread-safe (single formatted write).
+/// Emits a single line `[LEVEL] message` to stderr. Thread-safe (single
+/// formatted write).
 void log_message(LogLevel level, const std::string& message);
 
 namespace detail {
@@ -27,26 +24,12 @@ std::string concat(Args&&... args) {
 }  // namespace detail
 
 template <typename... Args>
-void log_debug(Args&&... args) {
-  if (log_level() <= LogLevel::kDebug) {
-    log_message(LogLevel::kDebug, detail::concat(std::forward<Args>(args)...));
-  }
-}
-template <typename... Args>
 void log_info(Args&&... args) {
-  if (log_level() <= LogLevel::kInfo) {
-    log_message(LogLevel::kInfo, detail::concat(std::forward<Args>(args)...));
-  }
+  log_message(LogLevel::kInfo, detail::concat(std::forward<Args>(args)...));
 }
 template <typename... Args>
 void log_warn(Args&&... args) {
-  if (log_level() <= LogLevel::kWarn) {
-    log_message(LogLevel::kWarn, detail::concat(std::forward<Args>(args)...));
-  }
-}
-template <typename... Args>
-void log_error(Args&&... args) {
-  log_message(LogLevel::kError, detail::concat(std::forward<Args>(args)...));
+  log_message(LogLevel::kWarn, detail::concat(std::forward<Args>(args)...));
 }
 
 }  // namespace socl::util

@@ -1,12 +1,10 @@
-// Streaming statistics, percentiles, histograms, and set/vector similarity
-// measures used by the evaluation harness (Fig. 3 similarity analysis,
+// Streaming statistics, percentiles, and set/vector similarity measures used by the evaluation harness (Fig. 3 similarity analysis,
 // Fig. 9/10 latency aggregation).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <string>
 #include <unordered_set>
 #include <vector>
 
@@ -60,37 +58,5 @@ double jaccard_similarity(const std::unordered_set<std::uint64_t>& a,
 
 /// Cosine similarity of two equal-length vectors; 0.0 if either is zero.
 double cosine_similarity(std::span<const double> a, std::span<const double> b);
-
-/// Pearson correlation coefficient; 0.0 when either side has no variance.
-double pearson_correlation(std::span<const double> a,
-                           std::span<const double> b);
-
-/// Fixed-width histogram over [lo, hi); finite values outside are clamped to
-/// the boundary bins, NaN/±inf samples land in a separate overflow counter.
-/// Used for latency distribution reporting.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-  std::size_t bin_count(std::size_t bin) const { return counts_.at(bin); }
-  std::size_t bins() const { return counts_.size(); }
-  /// Number of finite samples binned so far (excludes non_finite()).
-  std::size_t total() const { return total_; }
-  /// Number of NaN/±inf samples seen (e.g. unroutable-request latencies).
-  std::size_t non_finite() const { return non_finite_; }
-  double bin_low(std::size_t bin) const;
-  double bin_high(std::size_t bin) const;
-
-  /// Multi-line ASCII rendering (one row per bin with a proportional bar).
-  std::string render(std::size_t bar_width = 40) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-  std::size_t non_finite_ = 0;
-};
 
 }  // namespace socl::util

@@ -193,9 +193,13 @@ TEST(RequestClasses, SingleMovedUserBumpsTheEpoch) {
   EXPECT_EQ(scenario.workload_epoch(), epoch + 1);
   // The rebuilt indices reflect the move.
   EXPECT_EQ(scenario.classes().num_users(), 12);
-  const auto& at_new_node = scenario.users_at(moved_to);
-  EXPECT_NE(std::find(at_new_node.begin(), at_new_node.end(), 0),
-            at_new_node.end());
+  const auto& classes = scenario.classes();
+  const auto& moved_class = classes.cls(classes.class_of(0));
+  EXPECT_EQ(scenario.request(moved_class.representative).attach_node,
+            moved_to);
+  for (const MsId m : scenario.request(0).chain) {
+    EXPECT_GT(scenario.demand_count(m, moved_to), 0);
+  }
 }
 
 TEST(RequestClasses, AnyDemandTupleChangeBumpsTheEpoch) {

@@ -33,18 +33,6 @@ TEST(Scenario, DeterministicInSeed) {
   }
 }
 
-TEST(Scenario, UsersAtNodePartitionsAllUsers) {
-  const auto scenario = make_scenario(small_config(), 2);
-  int total = 0;
-  for (NodeId k = 0; k < scenario.num_nodes(); ++k) {
-    for (const int h : scenario.users_at(k)) {
-      EXPECT_EQ(scenario.request(h).attach_node, k);
-      ++total;
-    }
-  }
-  EXPECT_EQ(total, scenario.num_users());
-}
-
 TEST(Scenario, DemandNodesMatchDemandCounts) {
   const auto scenario = make_scenario(small_config(), 3);
   for (MsId m = 0; m < scenario.num_microservices(); ++m) {
@@ -95,8 +83,10 @@ TEST(Scenario, DemandDataAggregatesInboundVolumes) {
   for (MsId m = 0; m < scenario.num_microservices(); ++m) {
     for (NodeId k = 0; k < scenario.num_nodes(); ++k) {
       double expected = 0.0;
-      for (const int h : scenario.users_at(k)) {
-        expected += scenario.request_inbound_data(scenario.request(h), m);
+      for (const auto& request : scenario.requests()) {
+        if (request.attach_node == k) {
+          expected += scenario.request_inbound_data(request, m);
+        }
       }
       EXPECT_NEAR(scenario.demand_data(m, k), expected, 1e-9);
     }
@@ -108,10 +98,23 @@ TEST(Scenario, SetRequestsReindexes) {
   auto requests = scenario.requests();
   for (auto& request : requests) request.attach_node = 0;
   scenario.set_requests(requests);
-  EXPECT_EQ(static_cast<int>(scenario.users_at(0).size()),
-            scenario.num_users());
-  for (NodeId k = 1; k < scenario.num_nodes(); ++k) {
-    EXPECT_TRUE(scenario.users_at(k).empty());
+  // All demand now sits at node 0: V(m_i) is {0} for every requested m_i,
+  // node 0 counts every chain membership, and every class attaches there.
+  for (MsId m = 0; m < scenario.num_microservices(); ++m) {
+    int users = 0;
+    for (const auto& request : scenario.requests()) {
+      if (request.uses(m)) ++users;
+    }
+    EXPECT_EQ(scenario.demand_count(m, 0), users);
+    EXPECT_EQ(scenario.demand_nodes(m),
+              users > 0 ? std::vector<NodeId>{0} : std::vector<NodeId>{});
+    for (NodeId k = 1; k < scenario.num_nodes(); ++k) {
+      EXPECT_EQ(scenario.demand_count(m, k), 0);
+    }
+  }
+  EXPECT_EQ(scenario.classes().num_users(), scenario.num_users());
+  for (const auto& cls : scenario.classes().classes()) {
+    EXPECT_EQ(scenario.request(cls.representative).attach_node, 0);
   }
 }
 

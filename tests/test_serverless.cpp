@@ -229,9 +229,9 @@ TEST(Runtime, EventLogIdenticalAcrossRuns) {
 TEST(Runtime, GoldenEventLogAndOutcomeDigest) {
   // Jittered processing, log-normal keep-alive and a carried placement that
   // drops half the instances (so rollout boots, expiries, ticks and queueing
-  // all occur). The digest covers every event record, every outcome field,
-  // every totals field and the series; it must not move when the event
-  // queue or the route tables change shape.
+  // all occur). The digest covers every event record, every outcome field
+  // and every totals field; it must not move when the event queue or the
+  // route tables change shape.
   const Fixture fx(21);
   ArrivalConfig trace = default_arrivals();
   trace.mean_rate = 0.4;
@@ -242,7 +242,6 @@ TEST(Runtime, GoldenEventLogAndOutcomeDigest) {
   config.keep_alive_sigma = 0.2;
   config.concurrency = 2;
   config.max_containers_per_pool = 3;
-  config.series_bins = 5;
   core::Placement carried(fx.scenario);
   int instance = 0;
   for (MsId m = 0; m < fx.scenario.num_microservices(); ++m) {
@@ -286,9 +285,6 @@ TEST(Runtime, GoldenEventLogAndOutcomeDigest) {
   }
   fnv.add(t.initial_warm);
   fnv.add(t.peak_live);
-  for (const double v : metrics.cold_rate) fnv.add(v);
-  for (const double v : metrics.pool_utilisation) fnv.add(v);
-  fnv.add(metrics.series_bin_s);
 
   // The fixture must exercise what it claims to.
   EXPECT_EQ(metrics.requests.size(), arrivals.size());
@@ -298,7 +294,7 @@ TEST(Runtime, GoldenEventLogAndOutcomeDigest) {
   EXPECT_GT(t.expirations, 0);
   EXPECT_GT(t.queue_serves, 0);
   EXPECT_GT(t.cold_serves, 0);
-  EXPECT_EQ(fnv.value(), 0xD34D24428317E58CULL) << std::hex << fnv.value();
+  EXPECT_EQ(fnv.value(), 0x2EAEFF5060B415EAULL) << std::hex << fnv.value();
 }
 
 TEST(Runtime, UndeployedInstanceRejectedEvenWithoutArrivals) {
@@ -331,27 +327,6 @@ TEST(Runtime, UndeployedInstanceRejectedEvenWithoutArrivals) {
                std::invalid_argument);
   EXPECT_THROW(runtime.run(holed, fx.assignment, {}, ReactivePolicy(), 5),
                std::invalid_argument);
-}
-
-TEST(Runtime, SeriesIntegrationCrossesRoundedBinEdges) {
-  // Horizon 0.37 s over 4 bins: the third bin edge 3 * (0.37 / 4) divided
-  // by the bin width rounds to just below 3, so a walk that re-derives the
-  // bin from the edge time stays in bin 2 forever.
-  const Fixture fx(30);
-  ASSERT_LT(std::floor(3.0 * (0.37 / 4.0) / (0.37 / 4.0)), 3.0);
-  const std::vector<Arrival> arrivals = {{0.05, 0, 0}, {0.37, 1, 0}};
-  ServerlessConfig config;
-  config.series_bins = 4;
-  const ServerlessRuntime runtime(fx.scenario, config);
-  const auto metrics = runtime.run(fx.placement, fx.assignment, arrivals,
-                                   FixedPoolPolicy(1), 3);
-  ASSERT_EQ(metrics.requests.size(), 2u);
-  ASSERT_EQ(metrics.pool_utilisation.size(), 4u);
-  for (const double u : metrics.pool_utilisation) {
-    EXPECT_GE(u, 0.0);
-    EXPECT_LE(u, 1.0);
-  }
-  EXPECT_GT(metrics.pool_utilisation[0], 0.0);
 }
 
 TEST(Runtime, ColdStartAccountingConserved) {

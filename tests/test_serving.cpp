@@ -30,7 +30,6 @@ ServingConfig small_config(std::uint64_t seed = 11) {
   config.mobility.move_prob = 0.3;
   config.drift_prob = 0.05;
   config.arrivals.mean_rate = 0.05;
-  config.runtime.series_bins = 0;
   config.full_replan_period = 8;
   config.seed = seed;
   return config;

@@ -53,28 +53,6 @@ TEST(Testbed, LatenciesPositiveMilliseconds) {
   }
 }
 
-TEST(Testbed, ParallelMeasureBitIdenticalToSerial) {
-  TestbedFixture fx(6);
-  TestbedConfig serial_config, parallel_config, hw_config;
-  serial_config.threads = 1;
-  parallel_config.threads = 3;
-  hw_config.threads = 0;  // hardware concurrency
-  const TestbedEmulator serial(fx.scenario, serial_config, 5);
-  const TestbedEmulator parallel(fx.scenario, parallel_config, 5);
-  const TestbedEmulator hw(fx.scenario, hw_config, 5);
-  const auto a = serial.measure(fx.placement, fx.assignment, 4, 17);
-  const auto b = parallel.measure(fx.placement, fx.assignment, 4, 17);
-  const auto c = hw.measure(fx.placement, fx.assignment, 4, 17);
-  ASSERT_EQ(a.size(), b.size());
-  ASSERT_EQ(a.size(), c.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].user, b[i].user);
-    EXPECT_DOUBLE_EQ(a[i].latency_ms, b[i].latency_ms);
-    EXPECT_EQ(a[i].user, c[i].user);
-    EXPECT_DOUBLE_EQ(a[i].latency_ms, c[i].latency_ms);
-  }
-}
-
 TEST(Testbed, DeterministicInSeeds) {
   TestbedFixture fx(3);
   const TestbedEmulator testbed(fx.scenario, {}, 7);

@@ -173,68 +173,6 @@ TEST(Cosine, SizeMismatchThrows) {
   EXPECT_THROW(cosine_similarity(a, b), std::invalid_argument);
 }
 
-TEST(Pearson, PerfectCorrelation) {
-  const std::vector<double> a{1.0, 2.0, 3.0}, b{10.0, 20.0, 30.0};
-  EXPECT_NEAR(pearson_correlation(a, b), 1.0, 1e-12);
-}
-
-TEST(Pearson, PerfectAntiCorrelation) {
-  const std::vector<double> a{1.0, 2.0, 3.0}, b{3.0, 2.0, 1.0};
-  EXPECT_NEAR(pearson_correlation(a, b), -1.0, 1e-12);
-}
-
-TEST(Pearson, NoVarianceYieldsZero) {
-  const std::vector<double> a{1.0, 1.0, 1.0}, b{1.0, 2.0, 3.0};
-  EXPECT_DOUBLE_EQ(pearson_correlation(a, b), 0.0);
-}
-
-TEST(HistogramTest, BinningAndClamping) {
-  Histogram hist(0.0, 10.0, 5);
-  hist.add(1.0);   // bin 0
-  hist.add(9.5);   // bin 4
-  hist.add(-3.0);  // clamped to bin 0
-  hist.add(42.0);  // clamped to bin 4
-  EXPECT_EQ(hist.bin_count(0), 2u);
-  EXPECT_EQ(hist.bin_count(4), 2u);
-  EXPECT_EQ(hist.total(), 4u);
-}
-
-TEST(HistogramTest, NonFiniteSamplesCountedSeparately) {
-  Histogram hist(0.0, 10.0, 5);
-  hist.add(std::numeric_limits<double>::quiet_NaN());
-  hist.add(std::numeric_limits<double>::infinity());
-  hist.add(-std::numeric_limits<double>::infinity());
-  hist.add(5.0);
-  EXPECT_EQ(hist.non_finite(), 3u);
-  EXPECT_EQ(hist.total(), 1u);
-  // No bin absorbed the non-finite samples.
-  std::size_t binned = 0;
-  for (std::size_t b = 0; b < hist.bins(); ++b) binned += hist.bin_count(b);
-  EXPECT_EQ(binned, 1u);
-}
-
-TEST(HistogramTest, BinEdges) {
-  Histogram hist(0.0, 10.0, 5);
-  EXPECT_DOUBLE_EQ(hist.bin_low(0), 0.0);
-  EXPECT_DOUBLE_EQ(hist.bin_high(0), 2.0);
-  EXPECT_DOUBLE_EQ(hist.bin_low(4), 8.0);
-}
-
-TEST(HistogramTest, RejectsDegenerate) {
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
-  EXPECT_THROW(Histogram(1.0, 1.0, 3), std::invalid_argument);
-}
-
-TEST(HistogramTest, RenderMentionsCounts) {
-  Histogram hist(0.0, 2.0, 2);
-  hist.add(0.5);
-  hist.add(1.5);
-  hist.add(1.6);
-  const std::string text = hist.render();
-  EXPECT_NE(text.find("1"), std::string::npos);
-  EXPECT_NE(text.find("2"), std::string::npos);
-}
-
 // Percentile is monotone in p — property sweep across random inputs.
 TEST(Quantiles, MatchesPercentileForEveryRank) {
   std::vector<double> values;

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "workload/catalog.h"
 
 namespace socl::core {
@@ -209,14 +212,12 @@ TEST(LocalDemandFactors, ParallelToDeployedList) {
 TEST(LocalDemandFactors, DemandDominatesRanking) {
   // A service with many local users should outrank one with none.
   const auto scenario = make_scenario(base_config(6, 60), 9);
-  NodeId busiest = 0;
-  std::size_t most = 0;
-  for (NodeId k = 0; k < scenario.num_nodes(); ++k) {
-    if (scenario.users_at(k).size() > most) {
-      most = scenario.users_at(k).size();
-      busiest = k;
-    }
+  std::vector<int> users_at(static_cast<std::size_t>(scenario.num_nodes()), 0);
+  for (const auto& request : scenario.requests()) {
+    ++users_at[static_cast<std::size_t>(request.attach_node)];
   }
+  const auto busiest = static_cast<NodeId>(
+      std::max_element(users_at.begin(), users_at.end()) - users_at.begin());
   MsId popular = workload::kInvalidMs, unused = workload::kInvalidMs;
   for (MsId m = 0; m < scenario.num_microservices(); ++m) {
     if (scenario.demand_count(m, busiest) > 3) popular = m;

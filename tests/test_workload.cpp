@@ -266,10 +266,22 @@ TEST(Mobility, TrajectoryShapeAndDeterminism) {
   auto requests = generate_requests(net, eshop_catalog(), config, 18);
   util::Rng wrng(19);
   const auto weights = attachment_weights(net.num_nodes(), config, wrng);
-  const auto a =
-      mobility_trajectory(net, requests, weights, {}, 10, 20);
-  const auto b =
-      mobility_trajectory(net, requests, weights, {}, 10, 20);
+  // Attach nodes of every user after each of 10 slots (slot-major).
+  const auto trajectory = [&] {
+    auto moving = requests;
+    util::Rng rng(20);
+    std::vector<std::vector<net::NodeId>> slots;
+    for (int slot = 0; slot < 10; ++slot) {
+      mobility_step(net, moving, weights, {}, rng);
+      auto& positions = slots.emplace_back();
+      for (const auto& request : moving) {
+        positions.push_back(request.attach_node);
+      }
+    }
+    return slots;
+  };
+  const auto a = trajectory();
+  const auto b = trajectory();
   ASSERT_EQ(a.size(), 10u);
   ASSERT_EQ(a[0].size(), 5u);
   EXPECT_EQ(a, b);
