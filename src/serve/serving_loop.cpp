@@ -80,6 +80,17 @@ core::Scenario make_serving_scenario(const ServingConfig& config,
                         config.scenario.constants);
 }
 
+/// The serving sink reaches every layer that traces inside a slot — the DES
+/// windows and the unsharded replan's solver — unless the caller gave that
+/// layer a sink of its own.
+ServingConfig forward_sink(ServingConfig config) {
+  if (config.runtime.sink == nullptr) config.runtime.sink = config.sink;
+  if (config.online.socl.sink == nullptr) {
+    config.online.socl.sink = config.sink;
+  }
+  return config;
+}
+
 }  // namespace
 
 const char* slot_mode_name(SlotMode mode) {
@@ -197,7 +208,7 @@ std::string ServingReport::summary() const {
 }
 
 ServingLoop::ServingLoop(ServingConfig config)
-    : config_(std::move(config)),
+    : config_(forward_sink(std::move(config))),
       scenario_(make_serving_scenario(config_, metro_of_)),
       mobility_rng_(config_.seed ^ 0x6d0b111e57a75ULL),
       drift_rng_(config_.seed ^ 0xd21f7a57e5ULL),
@@ -374,225 +385,170 @@ const ServingLoop::CacheEntry* ServingLoop::find_cached(
   return nullptr;
 }
 
-void ServingLoop::rebuild_cache_from_assignment() {
+bool ServingLoop::route_classes(std::span<const CacheEntry* const> hits) {
   const workload::RequestClasses& classes = scenario_.classes();
   const core::ChainRouter router(scenario_);
   entries_.clear();
   cache_index_.clear();
-  entries_.reserve(static_cast<std::size_t>(classes.num_classes()));
   for (int c = 0; c < classes.num_classes(); ++c) {
     const workload::RequestClass& cls = classes.cls(c);
     const workload::UserRequest& rep = scenario_.request(cls.representative);
-    const auto route = assignment_.user_route(cls.representative);
-    CacheEntry entry;
+    const CacheEntry* hit =
+        hits.empty() ? nullptr : hits[static_cast<std::size_t>(c)];
+    CacheEntry& entry = entries_.emplace_back();
     entry.rep = rep;
-    entry.route.assign(route.begin(), route.end());
-    entry.latency = router.completion_time(rep, route);
+    if (hit != nullptr) {
+      entry.route = hit->route;
+      entry.latency = hit->latency;
+    } else {
+      auto routed = router.route(rep, placement_, scratch_);
+      if (!routed) return false;
+      // The formula Evaluator::evaluate applies to an assignment, so the
+      // slot economics are the evaluator's on every rung.
+      entry.latency = router.completion_time(rep, routed->nodes);
+      entry.route = std::move(routed->nodes);
+    }
     cache_index_[cls.fingerprint].push_back(c);
-    entries_.push_back(std::move(entry));
-  }
-}
-
-void ServingLoop::adopt_entries(std::vector<CacheEntry> next) {
-  const workload::RequestClasses& classes = scenario_.classes();
-  entries_ = std::move(next);
-  cache_index_.clear();
-  for (int c = 0; c < classes.num_classes(); ++c) {
-    cache_index_[classes.cls(c).fingerprint].push_back(c);
   }
   assignment_ = core::Assignment(scenario_);
   for (int c = 0; c < classes.num_classes(); ++c) {
-    const std::vector<net::NodeId>& route =
-        entries_[static_cast<std::size_t>(c)].route;
     for (const int member : classes.cls(c).members) {
-      assignment_.set_user_route(member, route);
+      assignment_.set_user_route(member,
+                                 entries_[static_cast<std::size_t>(c)].route);
     }
   }
+  return true;
+}
+
+const SlotChaos* ServingLoop::slot_chaos() const {
+  return chaos_ != nullptr ? &chaos_->slot(slot_) : nullptr;
 }
 
 SlotReport ServingLoop::step() {
   const obs::ScopedSpan span(config_.sink, obs::Phase::kSim, "serve.slot");
   util::WallTimer control_timer;
-  ++slot_;
+  SlotReport report = open_slot();
+  if (slot_ > 1) report.users_rehomed = advance_workload();
 
+  const RungChoice rung = choose_rung(report);
+  if (rung.carry) {
+    report.mode = SlotMode::kCarried;
+  } else if (!rung.replan && route_classes(rung.hits)) {
+    report.mode =
+        rung.moved == 0 ? SlotMode::kCarried : SlotMode::kIncremental;
+    report.classes_recomputed = rung.moved;
+  } else {
+    // A replan, or an incremental slot that lost coverage under the
+    // carried placement.
+    replan(report, rung.periodic);
+    if (!route_classes({})) {
+      throw std::runtime_error(
+          "ServingLoop: replanned placement unroutable (slot " +
+          std::to_string(slot_) + ")");
+    }
+    report.mode = SlotMode::kReplan;
+    report.classes_recomputed = report.classes;
+  }
+  report.classes_carried = report.classes - report.classes_recomputed;
+
+  const core::PlacementDelta delta = account(report);
+  report.control_s = control_timer.elapsed_seconds();
+  if (config_.cross_check) cross_check(report);
+  serve_window(report, delta);
+  close_slot(report);
+  return report;
+}
+
+SlotReport ServingLoop::open_slot() {
+  ++slot_;
   SlotReport report;
   report.slot = slot_;
   report.arrival_intensity = slot_intensity(slot_);
 
-  const SlotChaos* chaos_slot = nullptr;
-  if (chaos_ != nullptr) {
-    chaos_slot = &chaos_->slot(slot_);
-    report.failed_nodes =
-        static_cast<int>(chaos_slot->plan.failed_nodes.size());
-    report.failed_links =
-        static_cast<int>(chaos_slot->plan.failed_links.size());
-    report.flash_multiplier = chaos_slot->flash_multiplier;
-    // Flash crowds fold into the slot's arrival intensity: the DES window
-    // below draws its rate from this multiplier.
-    report.arrival_intensity *= chaos_slot->flash_multiplier;
-    if (chaos_slot->changed) {
-      // Failures/repairs landed this slot: swap the substrate before the
-      // workload advances, so mobility walks the degraded graph and the
-      // re-homing below sees the links that actually exist. A full repair
-      // restores the pristine network by copy — apply_failures with an
-      // empty plan would drop the links' base parameters.
-      scenario_.set_network(chaos_slot->plan.empty()
-                                ? *healthy_network_
-                                : net::apply_failures(*healthy_network_,
-                                                      chaos_slot->plan));
-      report.substrate_changed = true;
-      // The sharded coordinator priced its shards on the old substrate;
-      // rebuilding it forces a global re-price (repriced = true) on the
-      // new one — a backhaul cut isolates a metro and its shard's budget
-      // share must be re-negotiated.
-      if (sharded_ != nullptr) rebuild_sharded();
-    }
+  const SlotChaos* chaos_slot = slot_chaos();
+  if (chaos_slot == nullptr) return report;
+  report.failed_nodes = static_cast<int>(chaos_slot->plan.failed_nodes.size());
+  report.failed_links = static_cast<int>(chaos_slot->plan.failed_links.size());
+  report.flash_multiplier = chaos_slot->flash_multiplier;
+  // Flash crowds fold into the slot's arrival intensity: the DES window
+  // draws its rate from this multiplier.
+  report.arrival_intensity *= chaos_slot->flash_multiplier;
+  if (chaos_slot->changed) {
+    // Failures/repairs landed this slot: swap the substrate before the
+    // workload advances, so mobility walks the degraded graph and the
+    // re-homing sees the links that actually exist. A full repair restores
+    // the pristine network by copy — apply_failures with an empty plan
+    // would drop the links' base parameters.
+    scenario_.set_network(chaos_slot->plan.empty()
+                              ? *healthy_network_
+                              : net::apply_failures(*healthy_network_,
+                                                    chaos_slot->plan));
+    report.substrate_changed = true;
+    // The sharded coordinator priced its shards on the old substrate;
+    // rebuilding it forces a global re-price (repriced = true) on the new
+    // one — a backhaul cut isolates a metro and its shard's budget share
+    // must be re-negotiated.
+    if (sharded_ != nullptr) rebuild_sharded();
   }
+  return report;
+}
 
-  if (slot_ > 1) report.users_rehomed = advance_workload();
-  const std::uint64_t epoch = scenario_.workload_epoch();
-  const bool workload_changed = !have_previous_ || epoch != last_epoch_;
-  const bool substrate_moved =
-      scenario_.substrate_epoch() != last_substrate_epoch_;
-
+ServingLoop::RungChoice ServingLoop::choose_rung(SlotReport& report) {
   const workload::RequestClasses& classes = scenario_.classes();
   report.classes = classes.num_classes();
   report.demand_fingerprint = demand_fingerprint(scenario_.requests());
-  const double total_weight = std::max(1.0, classes.total_weight());
 
   // A substrate change always forces the replan rung: carried and
   // incremental routes embed paths computed on the old network, and the
   // tuple cache cannot see a link that vanished under an unchanged demand
   // tuple.
-  bool replan = !have_previous_ || substrate_moved;
-  bool periodic_replan = false;
+  RungChoice rung;
+  rung.replan = !have_previous_ ||
+                scenario_.substrate_epoch() != last_substrate_epoch_;
   if (config_.full_replan_period > 0 && slot_ > 1 &&
       (slot_ - 1) % config_.full_replan_period == 0) {
-    replan = true;
-    periodic_replan = true;
+    rung.replan = true;
+    rung.periodic = true;
+  }
+  if (!have_previous_) {
+    report.moved_weight_fraction = 1.0;
+    return rung;
+  }
+  if (scenario_.workload_epoch() == last_epoch_) {
+    // Pure carry: set_requests no-opped (identical tuples), so placement,
+    // per-class routes, and the expanded assignment are all still exact.
+    rung.carry = !rung.replan;
+    return rung;
   }
 
   // Diff this slot's classes against the carried route cache: a class whose
   // exact demand tuple is cached needs no routing work at all; everything
-  // else "moved" and is the incremental path's work list.
-  std::vector<const CacheEntry*> hits;
-  int moved = 0;
-  if (workload_changed && have_previous_) {
-    prev_entries_.swap(entries_);
-    prev_index_.swap(cache_index_);
-    hits.resize(static_cast<std::size_t>(classes.num_classes()));
-    double moved_weight = 0.0;
-    for (int c = 0; c < classes.num_classes(); ++c) {
-      const workload::RequestClass& cls = classes.cls(c);
-      hits[static_cast<std::size_t>(c)] =
-          find_cached(scenario_.request(cls.representative));
-      if (hits[static_cast<std::size_t>(c)] == nullptr) {
-        ++moved;
-        moved_weight += cls.weight;
-      }
-    }
-    report.moved_weight_fraction = moved_weight / total_weight;
-    if (moved_weight > config_.replan_weight_threshold * total_weight) {
-      replan = true;
-    }
-  } else if (!have_previous_) {
-    report.moved_weight_fraction = 1.0;
-  }
-
-  bool done = false;
-  if (!replan && !workload_changed) {
-    // Pure carry: set_requests no-opped (identical tuples), so placement,
-    // per-class routes, and the expanded assignment are all still exact.
-    report.mode = SlotMode::kCarried;
-    report.classes_recomputed = 0;
-    done = true;
-  }
-
-  if (!replan && !done) {
-    // Incremental: the placement is carried, so cached routes stay optimal
-    // (the chain DP is a pure function of tuple + placement); only moved
-    // classes run the DP. Any moved class unroutable under the carried
-    // placement means coverage was lost — fall through to a replan.
-    const core::ChainRouter router(scenario_);
-    std::vector<CacheEntry> next;
-    next.reserve(static_cast<std::size_t>(classes.num_classes()));
-    bool routable = true;
-    for (int c = 0; c < classes.num_classes() && routable; ++c) {
-      const workload::UserRequest& rep =
-          scenario_.request(classes.cls(c).representative);
-      const CacheEntry* hit = hits[static_cast<std::size_t>(c)];
-      CacheEntry entry;
-      entry.rep = rep;
-      if (hit != nullptr) {
-        entry.route = hit->route;
-        entry.latency = hit->latency;
-      } else {
-        auto routed = router.route(rep, placement_, scratch_);
-        if (!routed) {
-          routable = false;
-          break;
-        }
-        entry.route = std::move(routed->nodes);
-        entry.latency = routed->total();
-      }
-      next.push_back(std::move(entry));
-    }
-    if (routable) {
-      adopt_entries(std::move(next));
-      report.mode = moved == 0 ? SlotMode::kCarried : SlotMode::kIncremental;
-      report.classes_recomputed = moved;
-      done = true;
-    } else {
-      replan = true;
+  // else "moved" and is the incremental rung's work list.
+  prev_entries_.swap(entries_);
+  prev_index_.swap(cache_index_);
+  rung.hits.resize(static_cast<std::size_t>(classes.num_classes()));
+  const double total_weight = std::max(1.0, classes.total_weight());
+  double moved_weight = 0.0;
+  for (int c = 0; c < classes.num_classes(); ++c) {
+    const workload::RequestClass& cls = classes.cls(c);
+    const CacheEntry* hit = find_cached(scenario_.request(cls.representative));
+    rung.hits[static_cast<std::size_t>(c)] = hit;
+    if (hit == nullptr) {
+      ++rung.moved;
+      moved_weight += cls.weight;
     }
   }
-
-  if (!done && sharded_ != nullptr) {
-    // Sharded replan: feed the slot's workload delta to the coordinator —
-    // only the shards whose sub-workload (or membership) moved re-run their
-    // warm rung at the frozen budget price; a global re-price happens only
-    // on budget drift or breach. Periodic replans force every rung so each
-    // shard keeps the legacy staleness-check cadence. Only the merged
-    // *placement* is adopted: the serving cache re-routes every class
-    // globally below, so a route free to cross the backhaul is found when
-    // it wins, and the cross-check lane's full-re-route equality holds by
-    // construction (one metro: per-shard routes equal global routes, so
-    // this reproduces the unsharded day bit for bit).
-    const shard::ShardedSoCL::StepReport shard_step =
-        sharded_->step(scenario_.requests(), periodic_replan);
-    report.shards_resolved = shard_step.shards_resolved;
-    report.repriced = shard_step.repriced;
-    if (!shard_step.solution.assignment) {
-      throw std::runtime_error(
-          "ServingLoop: sharded replan left the slot unroutable (slot " +
-          std::to_string(slot_) + ")");
-    }
-    placement_ = shard_step.solution.placement;
-    const core::ChainRouter router(scenario_);
-    std::vector<CacheEntry> next;
-    next.reserve(static_cast<std::size_t>(classes.num_classes()));
-    for (int c = 0; c < classes.num_classes(); ++c) {
-      const workload::UserRequest& rep =
-          scenario_.request(classes.cls(c).representative);
-      auto routed = router.route(rep, placement_, scratch_);
-      if (!routed) {
-        throw std::runtime_error(
-            "ServingLoop: merged sharded placement unroutable (slot " +
-            std::to_string(slot_) + ")");
-      }
-      CacheEntry entry;
-      entry.rep = rep;
-      entry.latency = router.completion_time(rep, routed->nodes);
-      entry.route = std::move(routed->nodes);
-      next.push_back(std::move(entry));
-    }
-    adopt_entries(std::move(next));
-    report.mode = SlotMode::kReplan;
-    report.classes_recomputed = classes.num_classes();
-    done = true;
+  report.moved_weight_fraction = moved_weight / total_weight;
+  if (moved_weight > config_.replan_weight_threshold * total_weight) {
+    rung.replan = true;
   }
+  return rung;
+}
 
-  if (!done) {
+void ServingLoop::replan(SlotReport& report, bool periodic) {
+  if (sharded_ == nullptr) {
+    // The solver's assignment is dropped: the cross-check lane proves it
+    // equals the route_classes pass that follows.
     core::Solution solution = online_.step(scenario_);
     if (!solution.assignment) {
       throw std::runtime_error(
@@ -600,22 +556,38 @@ SlotReport ServingLoop::step() {
           std::to_string(slot_) + ")");
     }
     placement_ = std::move(solution.placement);
-    assignment_ = std::move(*solution.assignment);
-    rebuild_cache_from_assignment();
-    report.mode = SlotMode::kReplan;
-    report.classes_recomputed = classes.num_classes();
+    return;
   }
-  report.classes_carried = report.classes - report.classes_recomputed;
+  // Sharded replan: feed the slot's workload delta to the coordinator —
+  // only the shards whose sub-workload (or membership) moved re-run their
+  // warm rung at the frozen budget price; a global re-price happens only on
+  // budget drift or breach. Periodic replans force every rung so each shard
+  // keeps the legacy staleness-check cadence. Only the merged *placement*
+  // is adopted: the global route_classes pass finds a route across the
+  // backhaul when it wins.
+  shard::ShardedSoCL::StepReport shard_step =
+      sharded_->step(scenario_.requests(), periodic);
+  report.shards_resolved = shard_step.shards_resolved;
+  report.repriced = shard_step.repriced;
+  if (!shard_step.solution.assignment) {
+    throw std::runtime_error(
+        "ServingLoop: sharded replan left the slot unroutable (slot " +
+        std::to_string(slot_) + ")");
+  }
+  placement_ = std::move(shard_step.solution.placement);
+}
 
-  // Slot economics from the class cache (uniform across modes; on replan
-  // slots this reproduces the solver's own evaluation).
+core::PlacementDelta ServingLoop::account(SlotReport& report) const {
+  // Slot economics from the class cache, uniform across rungs.
+  const workload::RequestClasses& classes = scenario_.classes();
   report.deployment_cost = placement_.deployment_cost(scenario_.catalog());
   double total_latency = 0.0;
   for (int c = 0; c < classes.num_classes(); ++c) {
     total_latency +=
         entries_[static_cast<std::size_t>(c)].latency * classes.cls(c).weight;
   }
-  report.mean_latency_s = total_latency / total_weight;
+  report.mean_latency_s =
+      total_latency / std::max(1.0, classes.total_weight());
   const core::Evaluator evaluator(scenario_);
   report.objective = evaluator.combine(report.deployment_cost, total_latency);
 
@@ -624,156 +596,156 @@ SlotReport ServingLoop::step() {
     report.placement_churn =
         core::placement_churn(previous_placement_, placement_);
     delta = core::placement_delta(previous_placement_, placement_);
-    for (const auto& [m, k] : delta.added) {
-      (void)k;
-      report.churn_cost += scenario_.catalog().microservice(m).deploy_cost;
+    for (const auto& added : delta.added) {
+      report.churn_cost +=
+          scenario_.catalog().microservice(added.first).deploy_cost;
     }
   }
-  report.control_s = control_timer.elapsed_seconds();
+  return delta;
+}
 
-  if (config_.cross_check) {
-    // Forced-full-resolve lane: a from-scratch route of the whole workload
-    // must agree bit-for-bit with the incrementally maintained assignment,
-    // and the independent validator must find no constraint violation.
-    const core::ChainRouter router(scenario_);
-    const auto full = router.route_all(placement_);
-    bool matches = full.has_value();
-    if (matches) {
-      for (int h = 0; h < scenario_.num_users() && matches; ++h) {
-        const auto a = assignment_.user_route(h);
-        const auto b = full->user_route(h);
-        matches = std::equal(a.begin(), a.end(), b.begin(), b.end());
-      }
+void ServingLoop::cross_check(SlotReport& report) const {
+  // Forced-full-resolve lane: a from-scratch route of the whole workload
+  // must agree bit-for-bit with the incrementally maintained assignment,
+  // and the independent validator must find no constraint violation.
+  const core::ChainRouter router(scenario_);
+  const auto full = router.route_all(placement_);
+  bool matches = full.has_value();
+  if (matches) {
+    for (int h = 0; h < scenario_.num_users() && matches; ++h) {
+      const auto a = assignment_.user_route(h);
+      const auto b = full->user_route(h);
+      matches = std::equal(a.begin(), a.end(), b.begin(), b.end());
     }
-    report.full_reroute_matches = matches;
-    if (!matches) {
-      throw std::logic_error(
-          "ServingLoop: incremental assignment diverged from full re-route "
-          "(slot " +
-          std::to_string(slot_) + ")");
-    }
-    const validate::SolutionValidator validator(scenario_);
-    report.validator_violations = static_cast<int>(
-        validator.validate(placement_, assignment_).violations.size());
   }
+  report.full_reroute_matches = matches;
+  if (!matches) {
+    throw std::logic_error(
+        "ServingLoop: incremental assignment diverged from full re-route "
+        "(slot " +
+        std::to_string(slot_) + ")");
+  }
+  const validate::SolutionValidator validator(scenario_);
+  report.validator_violations = static_cast<int>(
+      validator.validate(placement_, assignment_).violations.size());
+}
 
+void ServingLoop::serve_window(SlotReport& report,
+                               const core::PlacementDelta& delta) {
   // Data plane: one DES window under the slot's placement. Instances the
   // replan added boot cold unless the previous slot's quota snapshot
   // predicted them (prewarm-ahead): those join the carried set and open
   // warm, modelling warm-up commands issued before rollout.
   const serverless::SoCLPrewarmPolicy policy(scenario_);
+  serverless::ArrivalConfig arrival_config = config_.arrivals;
+  arrival_config.horizon_s = config_.slot_horizon_s;
+  arrival_config.mean_rate =
+      config_.arrivals.mean_rate * report.arrival_intensity;
+  arrival_config.seed =
+      config_.seed ^
+      (0x9E3779B97F4A7C15ULL * (static_cast<std::uint64_t>(slot_)));
+  std::vector<serverless::Arrival> arrivals;
   {
-    serverless::ArrivalConfig arrival_config = config_.arrivals;
-    arrival_config.horizon_s = config_.slot_horizon_s;
-    arrival_config.mean_rate =
-        config_.arrivals.mean_rate * report.arrival_intensity;
-    arrival_config.seed =
-        config_.seed ^
-        (0x9E3779B97F4A7C15ULL * (static_cast<std::uint64_t>(slot_)));
-    std::vector<serverless::Arrival> arrivals;
-    {
-      const obs::ScopedSpan arrivals_span(
-          config_.sink, obs::Phase::kServerless, "serverless.arrivals");
-      arrivals = serverless::generate_arrivals(scenario_.num_users(),
-                                               arrival_config);
-    }
-
-    serverless::ServerlessConfig runtime_config = config_.runtime;
-    if (runtime_config.sink == nullptr) runtime_config.sink = config_.sink;
-    const serverless::ServerlessRuntime runtime(scenario_, runtime_config);
-
-    core::Placement carried = previous_placement_;
-    if (have_previous_) {
-      const auto nodes = static_cast<std::size_t>(scenario_.num_nodes());
-      for (const auto& [m, k] : delta.added) {
-        const std::size_t idx =
-            static_cast<std::size_t>(m) * nodes + static_cast<std::size_t>(k);
-        if (prewarm_snapshot_[idx] != 0) {
-          carried.deploy(m, k);
-          ++report.prewarm_ahead_hits;
-        }
-      }
-    }
-    if (chaos_slot != nullptr && chaos_slot->degraded()) {
-      // Container pools drain on dead nodes: nothing carried on a
-      // currently-failed node may open warm (and a repaired node's pool
-      // restarts cold naturally — the previous slot's placement could not
-      // host anything there while it was a husk).
-      for (const net::NodeId k : chaos_slot->plan.failed_nodes) {
-        for (workload::MsId m = 0; m < scenario_.num_microservices(); ++m) {
-          if (carried.deployed(m, k)) carried.remove(m, k);
-        }
-      }
-    }
-    // Per-metro serverless pools when sharded: each metro's control plane
-    // simulates its own DES window over its residents' slice of the global
-    // arrival stream (split preserves order and per-user streams, so the
-    // one-metro split is the unsharded stream verbatim). Unsharded, the
-    // whole stream is one group. Group 0 runs under `des_seed` itself, which
-    // the one-metro identity relies on. Pool state is per run — a rare
-    // backhaul-crossing route invokes the remote instance under the caller
-    // metro's pool, modelling per-region serverless scaling.
-    std::vector<std::vector<serverless::Arrival>> groups;
-    if (sharded_ != nullptr) {
-      std::vector<int> user_metro(
-          static_cast<std::size_t>(scenario_.num_users()), 0);
-      for (int h = 0; h < scenario_.num_users(); ++h) {
-        user_metro[static_cast<std::size_t>(h)] = metro_of_[
-            static_cast<std::size_t>(scenario_.request(h).attach_node)];
-      }
-      groups = serverless::split_arrivals(arrivals, user_metro,
-                                          config_.metros);
-    } else {
-      groups.push_back(std::move(arrivals));
-    }
-    const std::uint64_t des_seed = arrival_config.seed ^ 0x5E71E55ULL;
-    for (std::size_t m = 0; m < groups.size(); ++m) {
-      const std::uint64_t metro_seed =
-          des_seed ^ (0xA24BAED4963EE407ULL * static_cast<std::uint64_t>(m));
-      const auto metrics =
-          runtime.run(placement_, assignment_, groups[m], policy, metro_seed,
-                      have_previous_ ? &carried : nullptr);
-      report.invocations += metrics.totals.invocations;
-      report.cold_serves += metrics.totals.cold_serves;
-      report.requests_completed +=
-          static_cast<std::int64_t>(metrics.requests.size());
-      report.slo_met += metrics.totals.slo_met;
-      if (sharded_ != nullptr && config_.sink != nullptr &&
-          metrics.totals.invocations > 0) {
-        config_.sink->observe(
-            "socl.serve.shard.metro_cold_rate",
-            static_cast<double>(metrics.totals.cold_serves) /
-                static_cast<double>(metrics.totals.invocations));
-      }
-    }
-    report.slo_attainment =
-        report.requests_completed > 0
-            ? static_cast<double>(report.slo_met) /
-                  static_cast<double>(report.requests_completed)
-            : 1.0;
-    report.cold_start_rate =
-        report.invocations > 0
-            ? static_cast<double>(report.cold_serves) /
-                  static_cast<double>(report.invocations)
-            : 0.0;
+    const obs::ScopedSpan arrivals_span(
+        config_.sink, obs::Phase::kServerless, "serverless.arrivals");
+    arrivals =
+        serverless::generate_arrivals(scenario_.num_users(), arrival_config);
   }
+
+  const serverless::ServerlessRuntime runtime(scenario_, config_.runtime);
+
+  core::Placement carried = previous_placement_;
+  if (have_previous_) {
+    const auto nodes = static_cast<std::size_t>(scenario_.num_nodes());
+    for (const auto& [m, k] : delta.added) {
+      const std::size_t idx =
+          static_cast<std::size_t>(m) * nodes + static_cast<std::size_t>(k);
+      if (prewarm_snapshot_[idx] != 0) {
+        carried.deploy(m, k);
+        ++report.prewarm_ahead_hits;
+      }
+    }
+  }
+  const SlotChaos* chaos_slot = slot_chaos();
+  if (chaos_slot != nullptr && chaos_slot->degraded()) {
+    // Container pools drain on dead nodes: nothing carried on a
+    // currently-failed node may open warm (and a repaired node's pool
+    // restarts cold naturally — the previous slot's placement could not
+    // host anything there while it was a husk).
+    for (const net::NodeId k : chaos_slot->plan.failed_nodes) {
+      for (workload::MsId m = 0; m < scenario_.num_microservices(); ++m) {
+        if (carried.deployed(m, k)) carried.remove(m, k);
+      }
+    }
+  }
+  // Per-metro serverless pools when sharded: each metro's control plane
+  // simulates its own DES window over its residents' slice of the global
+  // arrival stream (split preserves order and per-user streams, so the
+  // one-metro split is the unsharded stream verbatim). Unsharded, the
+  // whole stream is one group. Group 0 runs under `des_seed` itself, which
+  // the one-metro identity relies on. Pool state is per run — a rare
+  // backhaul-crossing route invokes the remote instance under the caller
+  // metro's pool, modelling per-region serverless scaling.
+  std::vector<std::vector<serverless::Arrival>> groups;
+  if (sharded_ != nullptr) {
+    std::vector<int> user_metro(
+        static_cast<std::size_t>(scenario_.num_users()), 0);
+    for (int h = 0; h < scenario_.num_users(); ++h) {
+      user_metro[static_cast<std::size_t>(h)] = metro_of_[
+          static_cast<std::size_t>(scenario_.request(h).attach_node)];
+    }
+    groups = serverless::split_arrivals(arrivals, user_metro, config_.metros);
+  } else {
+    groups.push_back(std::move(arrivals));
+  }
+  const std::uint64_t des_seed = arrival_config.seed ^ 0x5E71E55ULL;
+  for (std::size_t m = 0; m < groups.size(); ++m) {
+    const std::uint64_t metro_seed =
+        des_seed ^ (0xA24BAED4963EE407ULL * static_cast<std::uint64_t>(m));
+    const auto metrics =
+        runtime.run(placement_, assignment_, groups[m], policy, metro_seed,
+                    have_previous_ ? &carried : nullptr);
+    report.invocations += metrics.totals.invocations;
+    report.cold_serves += metrics.totals.cold_serves;
+    report.requests_completed +=
+        static_cast<std::int64_t>(metrics.requests.size());
+    report.slo_met += metrics.totals.slo_met;
+    if (sharded_ != nullptr && config_.sink != nullptr &&
+        metrics.totals.invocations > 0) {
+      config_.sink->observe(
+          "socl.serve.shard.metro_cold_rate",
+          static_cast<double>(metrics.totals.cold_serves) /
+              static_cast<double>(metrics.totals.invocations));
+    }
+  }
+  report.slo_attainment =
+      report.requests_completed > 0
+          ? static_cast<double>(report.slo_met) /
+                static_cast<double>(report.requests_completed)
+          : 1.0;
+  report.cold_start_rate =
+      report.invocations > 0 ? static_cast<double>(report.cold_serves) /
+                                   static_cast<double>(report.invocations)
+                             : 0.0;
 
   // This slot's Alg. 2 quotas become next slot's pre-warm prediction.
-  {
-    const auto nodes = static_cast<std::size_t>(scenario_.num_nodes());
-    for (workload::MsId m = 0; m < scenario_.num_microservices(); ++m) {
-      for (net::NodeId k = 0; k < scenario_.num_nodes(); ++k) {
-        prewarm_snapshot_[static_cast<std::size_t>(m) * nodes +
-                          static_cast<std::size_t>(k)] =
-            policy.quota(m, k) > 0 ? 1 : 0;
-      }
+  const auto nodes = static_cast<std::size_t>(scenario_.num_nodes());
+  for (workload::MsId m = 0; m < scenario_.num_microservices(); ++m) {
+    for (net::NodeId k = 0; k < scenario_.num_nodes(); ++k) {
+      prewarm_snapshot_[static_cast<std::size_t>(m) * nodes +
+                        static_cast<std::size_t>(k)] =
+          policy.quota(m, k) > 0 ? 1 : 0;
     }
   }
+}
+
+void ServingLoop::close_slot(const SlotReport& report) {
   previous_placement_ = placement_;
   have_previous_ = true;
-  last_epoch_ = epoch;
+  last_epoch_ = scenario_.workload_epoch();
   last_substrate_epoch_ = scenario_.substrate_epoch();
 
+  const SlotChaos* chaos_slot = slot_chaos();
   emit_metrics(report, chaos_slot);
 
   report_.slots.push_back(report);
@@ -807,7 +779,6 @@ SlotReport ServingLoop::step() {
       report_.degraded_slo_met += report.slo_met;
     }
   }
-  return report;
 }
 
 void ServingLoop::emit_metrics(const SlotReport& report,

@@ -17,9 +17,11 @@
 //                control work, bit-identical to a full re-route because
 //                carried routes were computed under the same placement;
 //   replan       drift crossed the threshold (or the periodic floor): the
-//                warm-start online controller (core::online) repairs and
-//                polishes the carried placement, falling back to a full SoCL
-//                solve as usual.
+//                warm-start online controller (core::online) or the sharded
+//                coordinator produces a new placement; every class re-routes.
+//
+// One function, route_classes, builds the class route cache on every rung,
+// with the evaluator's latency formula (DESIGN.md §4i).
 //
 // (3) The slot's placement then serves a DES window (src/serverless/):
 // instances churned by a replan pay real cold starts unless the pre-warm
@@ -43,6 +45,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -139,7 +142,8 @@ struct ServingConfig {
   ChaosConfig chaos;
   std::uint64_t seed = 1;
   /// `socl.serve.*` metrics per slot (docs/METRICS.md); forwarded to the
-  /// DES windows when `runtime.sink` is null. nullptr disables.
+  /// DES windows when `runtime.sink` is null and to the unsharded replan's
+  /// solver when `online.socl.sink` is null. nullptr disables.
   obs::ObsSink* sink = nullptr;
   /// Test hook: mutate the slot's requests after mobility/drift and before
   /// the scenario ingests them (e.g. move exactly one user). Runs from slot
@@ -279,18 +283,44 @@ class ServingLoop {
     double latency = 0.0;
   };
 
+  /// The class diff's verdict, handed to the routing stages.
+  struct RungChoice {
+    bool replan = false;
+    bool periodic = false;  ///< the periodic floor fired: force every shard
+    bool carry = false;     ///< workload unchanged, no replan: route nothing
+    /// Per class, the cached entry of its demand tuple (null = moved).
+    std::vector<const CacheEntry*> hits;
+    int moved = 0;
+  };
+
+  // The stages of step(), in slot order.
+  SlotReport open_slot();  ///< chaos state, substrate swap, sharded rebuild
   /// Returns the number of users re-homed off dead/isolated stations
   /// (always 0 outside degraded chaos slots).
   int advance_workload();
+  RungChoice choose_rung(SlotReport& report);
+  /// Produces placement_ only; throws when the solver leaves the slot
+  /// unroutable.
+  void replan(SlotReport& report, bool periodic);
+  /// The one builder of the class route cache, in class order: a class with
+  /// a hit reuses it, any other is routed under placement_ with latency
+  /// completion_time(rep, route). Expands the per-user assignment. Returns
+  /// false on the first unroutable class; empty `hits` routes every class.
+  bool route_classes(std::span<const CacheEntry* const> hits);
+  /// Economics and churn; returns the delta against the previous placement.
+  core::PlacementDelta account(SlotReport& report) const;
+  void cross_check(SlotReport& report) const;
+  /// Arrivals, the DES window(s) and the pre-warm snapshot.
+  void serve_window(SlotReport& report, const core::PlacementDelta& delta);
+  /// Carries the slot's state forward, emits metrics, totals into report_.
+  void close_slot(const SlotReport& report);
+
   /// (Re)creates the sharded coordinator against the current scenario —
   /// used at construction and on every substrate change.
   void rebuild_sharded();
   /// Fingerprint-bucketed exact lookup into the previous slot's cache.
   const CacheEntry* find_cached(const workload::UserRequest& rep) const;
-  void rebuild_cache_from_assignment();
-  /// Installs one cache entry per class (in class order), re-indexes the
-  /// cache and expands the class routes into the per-user assignment.
-  void adopt_entries(std::vector<CacheEntry> next);
+  const SlotChaos* slot_chaos() const;  ///< null when chaos is disabled
   void emit_metrics(const SlotReport& report, const SlotChaos* chaos_slot);
   double slot_intensity(int slot) const;
 

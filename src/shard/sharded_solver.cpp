@@ -117,15 +117,26 @@ ShardedSoCL::ShardedSoCL(const core::Scenario& global, const ShardPlan& plan,
                          ShardedParams params)
     : global_(&global),
       params_(std::move(params)),
+      shard_online_(params_.online),
       shards_(extract_shards(global, plan)) {
   if (static_cast<int>(plan.shard_of.size()) != global.num_nodes()) {
     throw std::invalid_argument("ShardedSoCL: plan does not cover the network");
   }
+  shard_online_.socl.sink = nullptr;  // coordination metrics are emitted once
+  if (params_.shard_threads > 0) {
+    shard_online_.socl.combination.threads = params_.shard_threads;
+  }
 }
 
-void ShardedSoCL::solve_all_shards(const core::ProblemConstants& base,
-                                   double price,
-                                   const std::vector<double>* quotas,
+core::ProblemConstants ShardedSoCL::shard_constants(std::size_t s,
+                                                    double price) const {
+  if (!quotas_) return priced_constants(global_->constants(), price);
+  core::ProblemConstants constants = global_->constants();
+  constants.budget = (*quotas_)[s];
+  return constants;
+}
+
+void ShardedSoCL::solve_all_shards(double price,
                                    std::vector<core::Solution>& out,
                                    std::vector<double>& solve_s) {
   const auto shards = shards_.size();
@@ -136,25 +147,14 @@ void ShardedSoCL::solve_all_shards(const core::ProblemConstants& base,
   }
   solve_s.assign(shards, 0.0);
 
-  core::SoCLParams shard_params = params_.online.socl;
-  shard_params.sink = nullptr;  // coordination metrics are emitted once
-  if (params_.shard_threads > 0) {
-    shard_params.combination.threads = params_.shard_threads;
-  }
-
   util::ThreadPool pool(static_cast<std::size_t>(
       params_.threads > 0 ? params_.threads : 0));
   pool.parallel_for(shards, [&](std::size_t s) {
     ShardProblem& shard = shards_[s];
     if (shard.num_users() == 0) return;  // placeholder is the answer
-    core::ProblemConstants constants =
-        quotas != nullptr ? base : priced_constants(base, price);
-    if (quotas != nullptr) {
-      constants.budget = (*quotas)[s];
-    }
-    shard.scenario().set_constants(constants);
+    shard.scenario().set_constants(shard_constants(s, price));
     util::WallTimer timer;
-    out[s] = core::SoCL(shard_params).solve(shard.scenario());
+    out[s] = core::SoCL(shard_online_.socl).solve(shard.scenario());
     solve_s[s] = timer.elapsed_seconds();
   });
 }
@@ -194,7 +194,7 @@ ShardedSolution ShardedSoCL::solve() {
 
   const int cap = std::max(1, params_.max_iterations);
   for (int t = 0; t < cap; ++t) {
-    solve_all_shards(base, price, nullptr, iterate, iterate_s);
+    solve_all_shards(price, iterate, iterate_s);
     ++iterations;
 
     double spend = 0.0;
@@ -294,7 +294,7 @@ ShardedSolution ShardedSoCL::solve() {
       demands[s] = iterate[s].evaluation.deployment_cost;
     }
     quotas_ = negotiate_quotas(budget, floors, demands);
-    solve_all_shards(base, 0.0, &*quotas_, iterate, iterate_s);
+    solve_all_shards(0.0, iterate, iterate_s);
     accepted = std::move(iterate);
     accepted_s = std::move(iterate_s);
     accepted_price = price;
@@ -342,12 +342,7 @@ ShardedSolution ShardedSoCL::solve() {
 
 void ShardedSoCL::reseed_rungs() {
   if (online_rungs_.empty()) {
-    core::OnlineParams rung = params_.online;
-    rung.socl.sink = nullptr;  // coordination metrics are emitted once
-    if (params_.shard_threads > 0) {
-      rung.socl.combination.threads = params_.shard_threads;
-    }
-    online_rungs_.assign(shards_.size(), core::OnlineSoCL(rung));
+    online_rungs_.assign(shards_.size(), core::OnlineSoCL(shard_online_));
   }
   // Each rung carries the coordinated solve's accepted placement as if one
   // slot had already produced it, so the next resolve_shard warm-starts
@@ -358,19 +353,14 @@ void ShardedSoCL::reseed_rungs() {
 }
 
 void ShardedSoCL::resolve_shard(int s) {
-  const core::ProblemConstants base = global_->constants();
   ShardProblem& shard = shards_[static_cast<std::size_t>(s)];
   if (shard.num_users() == 0) {
     current_[static_cast<std::size_t>(s)] = empty_solution(shard.scenario());
     current_solve_s_[static_cast<std::size_t>(s)] = 0.0;
     return;
   }
-  core::ProblemConstants constants =
-      quotas_ ? base : priced_constants(base, price_);
-  if (quotas_) {
-    constants.budget = (*quotas_)[static_cast<std::size_t>(s)];
-  }
-  shard.scenario().set_constants(constants);
+  shard.scenario().set_constants(
+      shard_constants(static_cast<std::size_t>(s), price_));
   util::WallTimer timer;
   // Warm rung: repair + polish of the shard's carried placement at the
   // frozen price — the serving ladder's per-shard incremental rung.

@@ -207,14 +207,14 @@ class ShardedSoCL {
   const ShardProblem& shard(int s) const {
     return shards_.at(static_cast<std::size_t>(s));
   }
-  const ShardedParams& params() const { return params_; }
 
  private:
-  /// Solves every shard under `constants` (price- or quota-adjusted),
-  /// fanning out over the pool; results land by shard index.
-  void solve_all_shards(const core::ProblemConstants& base, double price,
-                        const std::vector<double>* quotas,
-                        std::vector<core::Solution>& out,
+  /// Shard s's constants: the global ones priced at μ = `price`, or at the
+  /// true λ under the shard's hard quota once quotas_ are negotiated.
+  core::ProblemConstants shard_constants(std::size_t s, double price) const;
+  /// Solves every shard under shard_constants(s, price), fanning out over
+  /// the pool; results land by shard index.
+  void solve_all_shards(double price, std::vector<core::Solution>& out,
                         std::vector<double>& solve_s);
   /// Re-solves one shard under the frozen price/quotas through its warm
   /// OnlineSoCL rung.
@@ -228,6 +228,8 @@ class ShardedSoCL {
 
   const core::Scenario* global_;
   ShardedParams params_;
+  /// Per-shard solver and rung parameters, derived once from params_.
+  core::OnlineParams shard_online_;
   std::vector<ShardProblem> shards_;
   /// Subgradient schedule of the pre-bracket ascent; reset() at the top of
   /// every solve() so mid-day re-prices restart the step size.

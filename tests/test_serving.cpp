@@ -15,6 +15,8 @@
 #include <string>
 #include <vector>
 
+#include "core/evaluator.h"
+#include "core/routing.h"
 #include "obs/recorder.h"
 
 namespace socl::serve {
@@ -101,7 +103,7 @@ TEST(ServingLoop, EachSlotTracesArrivalGenerationInsideTheSlot) {
   config.slots = 4;
   config.sink = &recorder;
   const ServingReport report = ServingLoop(config).run();
-  std::vector<obs::TraceEvent> slots, arrivals;
+  std::vector<obs::TraceEvent> slots, arrivals, solves;
   for (const obs::TraceEvent& event : recorder.trace().events()) {
     const std::string name = event.name;
     if (name == "serve.slot") slots.push_back(event);
@@ -109,14 +111,24 @@ TEST(ServingLoop, EachSlotTracesArrivalGenerationInsideTheSlot) {
       EXPECT_EQ(event.phase, obs::Phase::kServerless);
       arrivals.push_back(event);
     }
+    if (name == "socl.solve") solves.push_back(event);
   }
   ASSERT_EQ(slots.size(), 4u);
   ASSERT_EQ(arrivals.size(), slots.size());
+  const auto inside = [](const obs::TraceEvent& child,
+                         const obs::TraceEvent& parent) {
+    return child.start_us >= parent.start_us &&
+           child.start_us + child.dur_us <= parent.start_us + parent.dur_us;
+  };
   for (std::size_t i = 0; i < slots.size(); ++i) {
-    EXPECT_GE(arrivals[i].start_us, slots[i].start_us);
-    EXPECT_LE(arrivals[i].start_us + arrivals[i].dur_us,
-              slots[i].start_us + slots[i].dur_us);
+    EXPECT_TRUE(inside(arrivals[i], slots[i])) << "slot " << i + 1;
   }
+  // The serving sink reaches the solver: slot 1's cold replan traces its
+  // solve inside the slot.
+  EXPECT_TRUE(std::any_of(solves.begin(), solves.end(),
+                          [&](const obs::TraceEvent& solve) {
+                            return inside(solve, slots[0]);
+                          }));
   std::int64_t requests = 0;
   for (const SlotReport& slot : report.slots) {
     requests += slot.requests_completed;
@@ -372,6 +384,41 @@ TEST(ServingLoop, ShardedReplanResolvesOnlyTheMovedShard) {
   EXPECT_EQ(report.slots[2].mode, SlotMode::kCarried);
   EXPECT_EQ(report.slots[2].shards_resolved, 0);
   EXPECT_EQ(report.slots[3].shards_resolved, 0);
+}
+
+TEST(ServingLoop, SlotEconomicsMatchTheEvaluatorOnEveryRung) {
+  // Every rung builds its class routes through one function, so a slot's
+  // objective must be exactly what the evaluator scores for the slot's
+  // placement under a from-scratch route of the whole workload — on
+  // carried, incremental and replan slots, unsharded and sharded alike.
+  int incremental = 0;
+  for (const bool sharded : {false, true}) {
+    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+      ServingConfig config = small_config(seed);
+      if (sharded) {
+        config.metros = 2;
+        config.sharded = true;
+        config.scenario.constants.budget = 13000.0;  // 2× coverage floor
+      }
+      ServingLoop loop(config);
+      for (int slot = 1; slot <= config.slots; ++slot) {
+        const SlotReport report = loop.step();
+        SCOPED_TRACE((sharded ? "sharded seed " : "unsharded seed ") +
+                     std::to_string(seed) + " slot " + std::to_string(slot) +
+                     " mode " + slot_mode_name(report.mode));
+        const core::ChainRouter router(loop.scenario());
+        const auto full = router.route_all(loop.placement());
+        ASSERT_TRUE(full.has_value());
+        const core::Evaluator evaluator(loop.scenario());
+        EXPECT_EQ(report.objective,
+                  evaluator.evaluate(loop.placement(), *full).objective);
+        if (report.mode == SlotMode::kIncremental) ++incremental;
+      }
+    }
+  }
+  // Incremental slots are the rung whose cache entries mix reused and
+  // freshly routed classes; the days must actually reach it.
+  EXPECT_GT(incremental, 0);
 }
 
 TEST(ServingLoop, ShardedDayIsDeterministicAcrossRunsAndThreadCounts) {
